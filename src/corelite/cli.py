@@ -10,13 +10,9 @@ Exit codes: 0 success, 1 data/content error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import os
 import sys
-
-import numpy as np
 
 from . import CoreliteError, __version__
 from . import coreset, decontam, scoring
@@ -28,17 +24,6 @@ from .corpus import (
     load_text_corpus,
     load_token_corpus,
 )
-
-
-def _workers() -> int:
-    raw = os.environ.get("CORELITE_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CoreliteError(f"CORELITE_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise CoreliteError("CORELITE_THREADS must be >= 0")
-    return os.cpu_count() or 1 if value == 0 else value
 
 
 def _sha256(path) -> str:
@@ -79,24 +64,12 @@ def _positive_int(text: str) -> int:
 def _report_to_json(report: decontam.OverlapReport) -> dict:
     return {
         "per_instance": {
-            inst_id: {
-                "text_hit": inst.text_hit,
-                "image_hit": inst.image_hit,
-                "exact_image": inst.exact_image,
-                "category": inst.category.value,
-                "matched_windows": inst.matched_windows,
-            }
+            inst_id: {**vars(inst), "category": inst.category.value}
             for inst_id, inst in report.per_instance.items()
         },
         "text_overlap_pct": report.text_overlap_pct,
         "image_overlap_pct": report.image_overlap_pct,
     }
-
-
-def _row_normalize(emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    norms = np.linalg.norm(emb.data.astype(np.float64), axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return EmbeddingMatrix(emb.ids, (emb.data / safe).astype(np.float32))
 
 
 def cmd_select(args) -> int:
@@ -111,8 +84,8 @@ def cmd_select(args) -> int:
     else:
         k = args.k
     if args.normalize:
-        emb = _row_normalize(emb)
-    sel = coreset.k_center_greedy(emb, k, seed=args.seed, workers=_workers())
+        emb = EmbeddingMatrix(emb.ids, coreset.normalize_rows(emb.data))
+    sel = coreset.k_center_greedy(emb, k, seed=args.seed)
     _write_json(
         args.out,
         {
@@ -133,29 +106,20 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _load_instance_scores(path) -> tuple[list[str], list[float]]:
-    """Per-instance scores in file order: a one-model table with dataset = instance id."""
-    load_scores(path)  # full validation with the shared rules
-    ids: list[str] = []
-    values: list[float] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if not row:
-                continue
-            ids.append(row[1])
-            values.append(float(row[2]))
-    return ids, values
-
-
 def cmd_gap(args) -> int:
-    ids, values = _load_instance_scores(args.scores)
+    # Per-instance scores in file order: the dataset column holds the instance id.
+    scores = load_scores(args.scores).entries
+    values = list(scores.values())
+    positions = {inst_id: i for i, (_, inst_id) in enumerate(scores)}
     with open(args.selection, encoding="utf-8") as fh:
         sel = json.load(fh)
-    positions = {inst_id: i for i, inst_id in enumerate(ids)}
+    center_ids = sel.get("center_ids") if isinstance(sel, dict) else None
+    if not isinstance(center_ids, list) or not all(
+        isinstance(i, str) for i in center_ids
+    ):
+        raise CoreliteError(f"{args.selection}: expected a center_ids list of strings")
     subset = []
-    for inst_id in sel["center_ids"]:
+    for inst_id in center_ids:
         if inst_id not in positions:
             raise CoreliteError(f"selected id {inst_id!r} not present in scores")
         subset.append(positions[inst_id])
@@ -362,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CoreliteError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CoreliteError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"corelite: error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,6 @@ tiny instances.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,38 +90,29 @@ def concat_embeddings(
         if a != b:
             raise CoreliteError(f"id mismatch at position {pos}: {a!r} vs {b!r}")
 
-    def prep(block: np.ndarray) -> np.ndarray:
-        if not per_modality_normalize:
-            return block
-        norms = np.linalg.norm(block.astype(np.float64), axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        return (block / safe).astype(np.float32)
-
-    data = np.concatenate([prep(image_emb.data), prep(text_emb.data)], axis=1)
-    return EmbeddingMatrix(image_emb.ids, data)
+    blocks = [image_emb.data, text_emb.data]
+    if per_modality_normalize:
+        blocks = [normalize_rows(b) for b in blocks]
+    return EmbeddingMatrix(image_emb.ids, np.concatenate(blocks, axis=1))
 
 
-def _min_center_dists(X: np.ndarray, sq_norms: np.ndarray, center: np.ndarray,
-                      workers: int) -> np.ndarray:
-    """Distances from every row of X to one center.
+def normalize_rows(block: np.ndarray) -> np.ndarray:
+    """Scale each row to unit L2 norm (norms in float64), as float32.
 
-    Row-chunked so thread count never changes per-row values: each row's
-    result is computed from the same contiguous memory either way.
+    Zero rows are left untouched.
     """
-    c_norm = float(center @ center)
+    norms = np.linalg.norm(block.astype(np.float64), axis=1, keepdims=True)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    return (block / safe).astype(np.float32)
 
-    def chunk(lo: int, hi: int) -> np.ndarray:
-        d2 = sq_norms[lo:hi] - 2.0 * (X[lo:hi] @ center) + c_norm
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2)
 
-    n = X.shape[0]
-    if workers <= 1 or n < 4096:
-        return chunk(0, n)
-    bounds = np.linspace(0, n, workers + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda ab: chunk(*ab), zip(bounds[:-1], bounds[1:])))
-    return np.concatenate(parts)
+def _min_center_dists(
+    X: np.ndarray, sq_norms: np.ndarray, center: np.ndarray
+) -> np.ndarray:
+    """Distances from every row of X to one center."""
+    d2 = sq_norms - 2.0 * (X @ center) + float(center @ center)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2)
 
 
 def k_center_greedy(
@@ -137,6 +127,9 @@ def k_center_greedy(
     The first center is drawn uniformly from a SplitMix64 stream seeded by
     `seed` (or pinned via `first_center`); each later center is the point
     farthest from the current centers, ties broken by lowest index.
+
+    `workers` is accepted for compatibility and ignored: numpy's BLAS
+    already spreads each distance GEMV over the available cores.
     """
     n = emb.n
     if n == 0:
@@ -155,7 +148,7 @@ def k_center_greedy(
         first = first_center
 
     centers = [first]
-    min_dist = _min_center_dists(X, sq_norms, X[first], workers)
+    min_dist = _min_center_dists(X, sq_norms, X[first])
     min_dist[first] = 0.0  # a center is exactly at distance 0 from itself
     selected = np.zeros(n, dtype=bool)
     selected[first] = True
@@ -166,8 +159,7 @@ def k_center_greedy(
         u = int(np.argmax(np.where(selected, -1.0, min_dist)))
         centers.append(u)
         selected[u] = True
-        np.minimum(min_dist, _min_center_dists(X, sq_norms, X[u], workers),
-                   out=min_dist)
+        np.minimum(min_dist, _min_center_dists(X, sq_norms, X[u]), out=min_dist)
         min_dist[u] = 0.0
 
     return CoresetSelection(

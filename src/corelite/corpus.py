@@ -126,59 +126,65 @@ class ScaleSpec:
                 raise CoreliteError(f"scale for {dataset!r}: max must exceed min")
 
 
-def load_text_corpus(path) -> list[TextDocument]:
-    """Read line-delimited JSON records {"id": ..., "text": ...} in file order."""
-    docs: list[TextDocument] = []
+def _jsonl_records(path, field_name: str):
+    """Yield (line number, id, record[field_name]) for each JSONL record, in file order.
+
+    Lines end at LF (a CR before it is whitespace); blank lines are skipped.
+    Every record must be a JSON object with a string id, unique within the
+    file, and the named field.
+    """
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CoreliteError(
+                    f"line {lineno}: invalid UTF-8 ({exc.reason})"
+                ) from None
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CoreliteError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            for name in ("id", "text"):
+            if not isinstance(rec, dict):
+                raise CoreliteError(f"line {lineno}: expected a JSON object")
+            for name in ("id", field_name):
                 if name not in rec:
                     raise CoreliteError(f"line {lineno}: missing field {name}")
-            doc_id, text = rec["id"], rec["text"]
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise CoreliteError(f"line {lineno}: id and text must be strings")
-            if doc_id in seen:
-                raise CoreliteError(f"duplicate id {doc_id!r}")
-            seen.add(doc_id)
-            docs.append(TextDocument(doc_id, text))
+            rec_id = rec["id"]
+            if not isinstance(rec_id, str):
+                raise CoreliteError(f"line {lineno}: id must be a string")
+            if rec_id in seen:
+                raise CoreliteError(f"duplicate id {rec_id!r}")
+            seen.add(rec_id)
+            yield lineno, rec_id, rec[field_name]
+
+
+def load_text_corpus(path) -> list[TextDocument]:
+    """Read line-delimited JSON records {"id": ..., "text": ...} in file order."""
+    docs: list[TextDocument] = []
+    for lineno, doc_id, text in _jsonl_records(path, "text"):
+        if not isinstance(text, str):
+            raise CoreliteError(f"line {lineno}: text must be a string")
+        docs.append(TextDocument(doc_id, text))
     return docs
 
 
 def load_token_corpus(path, expected_len: int = IMAGE_TOKEN_LEN) -> list[TokenSequence]:
     """Read line-delimited JSON records {"id": ..., "tokens": [...]}, validating length."""
     seqs: list[TokenSequence] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CoreliteError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            for name in ("id", "tokens"):
-                if name not in rec:
-                    raise CoreliteError(f"line {lineno}: missing field {name}")
-            seq_id, tokens = rec["id"], rec["tokens"]
-            if not isinstance(tokens, list) or not all(
-                isinstance(t, int) and not isinstance(t, bool) for t in tokens
-            ):
-                raise CoreliteError(f"line {lineno}: tokens must be a list of integers")
-            if len(tokens) != expected_len:
-                raise CoreliteError(
-                    f"id={seq_id}: length {len(tokens)}, expected {expected_len}"
-                )
-            if seq_id in seen:
-                raise CoreliteError(f"duplicate id {seq_id!r}")
-            seen.add(seq_id)
-            seqs.append(TokenSequence(seq_id, tuple(tokens)))
+    for lineno, seq_id, tokens in _jsonl_records(path, "tokens"):
+        if not isinstance(tokens, list) or not all(
+            isinstance(t, int) and not isinstance(t, bool) for t in tokens
+        ):
+            raise CoreliteError(f"line {lineno}: tokens must be a list of integers")
+        if len(tokens) != expected_len:
+            raise CoreliteError(
+                f"id={seq_id}: length {len(tokens)}, expected {expected_len}"
+            )
+        seqs.append(TokenSequence(seq_id, tuple(tokens)))
     return seqs
 
 

@@ -5,6 +5,10 @@ Text indexes track "meaningless" n-grams (those appearing more than
 suppressed. Image indexes work over fixed-length 32-token sequences with
 25 stride-1 windows each; an 8-token window hit corresponds to roughly a
 quarter of the image overlapping.
+
+Every index keys its table either by the exact token window or by its 64-bit
+FNV-1a hash (`hashed`). Build, scan, save and load run one body for both;
+`_MODES` supplies what differs per (kind, hashed) pair.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ from __future__ import annotations
 import enum
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import CoreliteError
 from .corpus import IMAGE_TOKEN_LEN, TextDocument, TokenSequence, tokenize_text
@@ -22,10 +28,13 @@ NGI_MAGIC = b"NGI1"
 NGI_VERSION = 1
 _KIND_TEXT = 0
 _KIND_IMAGE = 1
+_MAX_N = {_KIND_TEXT: 0xFFFF, _KIND_IMAGE: IMAGE_TOKEN_LEN}
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -38,7 +47,33 @@ def fnv1a64(data: bytes) -> int:
 
 def _text_token_bytes(token: str) -> bytes:
     raw = token.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
+    return _U32.pack(len(raw)) + raw
+
+
+def _pack_words(tokens) -> bytes:
+    return b"".join(map(_text_token_bytes, tokens))
+
+
+def _unpack_words(raw: bytes) -> tuple[str, ...]:
+    words = []
+    pos = 0
+    while pos < len(raw):
+        (size,) = _U32.unpack_from(raw, pos)
+        words.append(raw[pos + 4 : pos + 4 + size].decode("utf-8"))
+        pos += 4 + size
+    return tuple(words)
+
+
+def _pack_ids(tokens) -> bytes:
+    return struct.pack(f"<{len(tokens)}I", *tokens)
+
+
+def _unpack_ids(raw: bytes) -> tuple[int, ...]:
+    return struct.unpack(f"<{len(raw) // 4}I", raw)
+
+
+def _unpack_u64(raw: bytes) -> int:
+    return _U64.unpack(raw)[0]
 
 
 def hash_text_token(token: str) -> int:
@@ -48,12 +83,36 @@ def hash_text_token(token: str) -> int:
 
 def hash_text_ngram(tokens) -> int:
     """Hash a word n-gram: per-token length-prefixed UTF-8, in order."""
-    return fnv1a64(b"".join(_text_token_bytes(t) for t in tokens))
+    return fnv1a64(_pack_words(tokens))
 
 
 def hash_image_window(tokens) -> int:
     """Hash an image-token window: 4-byte little-endian ids, in order."""
-    return fnv1a64(struct.pack(f"<{len(tokens)}I", *tokens))
+    return fnv1a64(_pack_ids(tokens))
+
+
+class _Mode(NamedTuple):
+    """How one (kind, hashed) pair keys its table and writes keys to NGI1."""
+
+    window_key: Callable  # token window -> table key
+    token_key: Callable | None  # one text token -> meaningless-token key
+    pack: Callable  # table key -> NGI1 key bytes
+    unpack: Callable  # NGI1 key bytes -> table key
+    width: Callable  # tokens per key -> key bytes, or None for a u32 length prefix
+
+
+_HASHED_KEYS = (_U64.pack, _unpack_u64, lambda n: 8)
+_MODES = {
+    (_KIND_TEXT, False): _Mode(tuple, str, _pack_words, _unpack_words, lambda n: None),
+    (_KIND_TEXT, True): _Mode(hash_text_ngram, hash_text_token, *_HASHED_KEYS),
+    (_KIND_IMAGE, False): _Mode(tuple, None, _pack_ids, _unpack_ids, lambda n: 4 * n),
+    (_KIND_IMAGE, True): _Mode(hash_image_window, None, *_HASHED_KEYS),
+}
+
+
+def _check_n(kind: int, n: int, where: str = "") -> None:
+    if not 1 <= n <= _MAX_N[kind]:
+        raise CoreliteError(f"{where}n must be in 1..{_MAX_N[kind]}")
 
 
 class ContaminationCategory(enum.Enum):
@@ -130,9 +189,31 @@ class ImageNGramIndex:
 
 
 def _text_windows(tokens: list[str], n: int):
-    if len(tokens) < n:
-        return
-    yield from zip(*(tokens[i:] for i in range(n)))
+    return zip(*(tokens[i:] for i in range(n)))
+
+
+def _image_windows(seq: TokenSequence, n: int):
+    if len(seq.tokens) != IMAGE_TOKEN_LEN:
+        raise CoreliteError(
+            f"id={seq.id}: length {len(seq.tokens)}, expected {IMAGE_TOKEN_LEN}"
+        )
+    return (seq.tokens[i : i + n] for i in range(IMAGE_TOKEN_LEN - n + 1))
+
+
+def _text_index(
+    n: int, freq_threshold: int, hashed: bool, table: dict, recover_tokens: Callable
+) -> TextNGramIndex:
+    """Derive the meaningless n-grams and their token keys from a count table.
+
+    Exact keys hold their tokens. Hashed keys do not, so
+    `recover_tokens(meaningless)` supplies the token hashes instead.
+    """
+    meaningless = frozenset(k for k, c in table.items() if c > freq_threshold)
+    if hashed:
+        tokens = frozenset(recover_tokens(meaningless))
+    else:
+        tokens = frozenset(chain.from_iterable(meaningless))
+    return TextNGramIndex(n, freq_threshold, hashed, table, meaningless, tokens)
 
 
 def build_text_index(
@@ -142,45 +223,28 @@ def build_text_index(
     hashed: bool = False,
 ) -> TextNGramIndex:
     """Count all word n-grams in the training corpus and derive the meaningless sets."""
-    if n < 1:
-        raise CoreliteError("n must be at least 1")
+    _check_n(_KIND_TEXT, n)
     if freq_threshold < 1:
         raise CoreliteError("freq_threshold must be at least 1")
+    mode = _MODES[_KIND_TEXT, hashed]
 
     table: Counter = Counter()
     for doc in train:
-        tokens = tokenize_text(doc.text)
-        if hashed:
-            table.update(hash_text_ngram(w) for w in _text_windows(tokens, n))
-        else:
-            table.update(_text_windows(tokens, n))
+        table.update(map(mode.window_key, _text_windows(tokenize_text(doc.text), n)))
 
-    meaningless = frozenset(k for k, c in table.items() if c > freq_threshold)
+    def second_pass(meaningless):
+        # Hashed keys do not keep their tokens: find them in the corpus again.
+        if not meaningless:
+            return ()
+        return (
+            mode.token_key(t)
+            for doc in train
+            for window in _text_windows(tokenize_text(doc.text), n)
+            if mode.window_key(window) in meaningless
+            for t in window
+        )
 
-    tokens_of_meaningless: set = set()
-    if hashed:
-        # Hashed keys do not retain their tokens; recover them in a second
-        # pass over the corpus.
-        if meaningless:
-            for doc in train:
-                tokens = tokenize_text(doc.text)
-                for window in _text_windows(tokens, n):
-                    if hash_text_ngram(window) in meaningless:
-                        tokens_of_meaningless.update(
-                            hash_text_token(t) for t in window
-                        )
-    else:
-        for key in meaningless:
-            tokens_of_meaningless.update(key)
-
-    return TextNGramIndex(
-        n=n,
-        freq_threshold=freq_threshold,
-        hashed=hashed,
-        table=dict(table),
-        meaningless=meaningless,
-        meaningless_tokens=frozenset(tokens_of_meaningless),
-    )
+    return _text_index(n, freq_threshold, hashed, dict(table), second_pass)
 
 
 def overlap_ratio(candidate, index: TextNGramIndex) -> float:
@@ -209,25 +273,20 @@ def scan_text(
     A window qualifies when it is present in the training table, is not
     itself meaningless, and has overlap ratio below `ratio_threshold`.
     """
+    mode = _MODES[_KIND_TEXT, index.hashed]
     per_instance: dict[str, InstanceOverlap] = {}
     hit_count = 0
     for doc in bench:
         tokens = tokenize_text(doc.text)
-        if index.hashed:
-            token_items = [hash_text_token(t) for t in tokens]
-            keys = [
-                hash_text_ngram(w) for w in _text_windows(tokens, index.n)
-            ]
-        else:
-            token_items = tokens
-            keys = list(_text_windows(tokens, index.n))
+        token_keys = list(map(mode.token_key, tokens))
+        keys = map(mode.window_key, _text_windows(tokens, index.n))
 
         matched = 0
         for pos, key in enumerate(keys):
             if key not in index.table or key in index.meaningless:
                 continue
-            window_items = tuple(token_items[pos : pos + index.n])
-            if overlap_ratio(window_items, index) < ratio_threshold:
+            window_keys = tuple(token_keys[pos : pos + index.n])
+            if overlap_ratio(window_keys, index) < ratio_threshold:
                 matched += 1
         text_hit = matched > 0
         hit_count += text_hit
@@ -248,50 +307,24 @@ def build_image_index(
     train: list[TokenSequence], n: int = 8, hashed: bool = False
 ) -> ImageNGramIndex:
     """Index all stride-1 windows of the 32-token training sequences."""
-    if not 1 <= n <= IMAGE_TOKEN_LEN:
-        raise CoreliteError(f"n must be in 1..{IMAGE_TOKEN_LEN}")
+    _check_n(_KIND_IMAGE, n)
+    mode = _MODES[_KIND_IMAGE, hashed]
     table: Counter = Counter()
-    exact: set = set()
     for seq in train:
-        if len(seq.tokens) != IMAGE_TOKEN_LEN:
-            raise CoreliteError(
-                f"id={seq.id}: length {len(seq.tokens)}, expected {IMAGE_TOKEN_LEN}"
-            )
-        windows = [
-            seq.tokens[i : i + n] for i in range(IMAGE_TOKEN_LEN - n + 1)
-        ]
-        if hashed:
-            table.update(hash_image_window(w) for w in windows)
-            exact.add(hash_image_window(seq.tokens))
-        else:
-            table.update(windows)
-            exact.add(seq.tokens)
-    return ImageNGramIndex(
-        n=n, hashed=hashed, table=dict(table), exact_sequences=frozenset(exact)
-    )
+        table.update(map(mode.window_key, _image_windows(seq, n)))
+    exact = frozenset(mode.window_key(seq.tokens) for seq in train)
+    return ImageNGramIndex(n=n, hashed=hashed, table=dict(table), exact_sequences=exact)
 
 
 def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapReport:
     """Flag benchmark sequences whose windows (or whole sequence) hit the index."""
+    mode = _MODES[_KIND_IMAGE, index.hashed]
     per_instance: dict[str, InstanceOverlap] = {}
     hit_count = 0
     for seq in bench:
-        if len(seq.tokens) != IMAGE_TOKEN_LEN:
-            raise CoreliteError(
-                f"id={seq.id}: length {len(seq.tokens)}, expected {IMAGE_TOKEN_LEN}"
-            )
-        windows = [
-            seq.tokens[i : i + index.n]
-            for i in range(IMAGE_TOKEN_LEN - index.n + 1)
-        ]
-        if index.hashed:
-            keys = [hash_image_window(w) for w in windows]
-            full = hash_image_window(seq.tokens)
-        else:
-            keys = windows
-            full = seq.tokens
+        keys = map(mode.window_key, _image_windows(seq, index.n))
         matched = sum(1 for key in keys if key in index.table)
-        exact_image = full in index.exact_sequences
+        exact_image = mode.window_key(seq.tokens) in index.exact_sequences
         image_hit = matched > 0
         hit_count += image_hit
         per_instance[seq.id] = InstanceOverlap(
@@ -310,60 +343,47 @@ def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapRep
 # --- index serialization ---------------------------------------------------
 #
 # Layout: magic "NGI1" | version u16 | n u16 | freq_threshold u32 |
-# kind u8 | hashed u8 | entry count u64 | sorted (key, count) pairs |
-# kind-specific trailer. All integers little-endian. Entries are sorted by
-# serialized key bytes so files are byte-reproducible.
-
-
-def _serialize_text_key(key, hashed: bool) -> bytes:
-    if hashed:
-        return struct.pack("<Q", key)
-    return b"".join(_text_token_bytes(t) for t in key)
-
-
-def _serialize_image_key(key, hashed: bool) -> bytes:
-    if hashed:
-        return struct.pack("<Q", key)
-    return struct.pack(f"<{len(key)}I", *key)
+# kind u8 (0 text, 1 image) | hashed u8 (0 or 1) | entry count u64 |
+# (key, count u64) entries | kind-specific trailer. All integers are
+# little-endian. A hashed key is a u64; an exact image key is n u32 ids; an
+# exact text key is a u32 byte length, then per token a u32 byte length and
+# its UTF-8. Trailers: image indexes store a u64 count and the exact-sequence
+# keys; hashed text indexes a u64 count and the u64 meaningless-token hashes;
+# exact text indexes nothing, as their keys hold those tokens.
+#
+# Sort orders make files byte-reproducible. Entries and image sequences sort
+# by key bytes (exact text: without the length prefix), so hashed keys sort
+# by little-endian bytes, not by value. Meaningless-token hashes sort by value.
 
 
 def save_index(index, path) -> None:
     """Write a text or image n-gram index in the NGI1 binary format."""
     if isinstance(index, TextNGramIndex):
         kind, freq = _KIND_TEXT, index.freq_threshold
-        ser = lambda k: _serialize_text_key(k, index.hashed)
     elif isinstance(index, ImageNGramIndex):
         kind, freq = _KIND_IMAGE, 0
-        ser = lambda k: _serialize_image_key(k, index.hashed)
     else:
         raise CoreliteError(f"cannot serialize {type(index).__name__}")
+    mode = _MODES[kind, index.hashed]
+    length_prefix = mode.width(index.n) is None
 
-    out = bytearray()
-    out += NGI_MAGIC
+    out = bytearray(NGI_MAGIC)
     out += struct.pack("<HHIBB", NGI_VERSION, index.n, freq, kind, int(index.hashed))
-    entries = sorted((ser(k), c) for k, c in index.table.items())
+    entries = sorted((mode.pack(k), c) for k, c in index.table.items())
     out += struct.pack("<Q", len(entries))
     for key_bytes, count in entries:
-        if kind == _KIND_TEXT and not index.hashed:
+        if length_prefix:
             out += struct.pack("<I", len(key_bytes))
-        out += key_bytes
-        out += struct.pack("<Q", count)
+        out += key_bytes + struct.pack("<Q", count)
 
-    if kind == _KIND_TEXT:
-        if index.hashed:
-            # Token hashes are not recoverable from hashed keys; persist them.
-            toks = sorted(index.meaningless_tokens)
-            out += struct.pack("<Q", len(toks))
-            for t in toks:
-                out += struct.pack("<Q", t)
+    if kind == _KIND_IMAGE:
+        trailer = sorted(map(mode.pack, index.exact_sequences))
+    elif index.hashed:
+        trailer = [_U64.pack(t) for t in sorted(index.meaningless_tokens)]
     else:
-        seqs = sorted(
-            struct.pack("<Q", s) if index.hashed else struct.pack(f"<{len(s)}I", *s)
-            for s in index.exact_sequences
-        )
-        out += struct.pack("<Q", len(seqs))
-        for s in seqs:
-            out += s
+        trailer = None
+    if trailer is not None:
+        out += struct.pack("<Q", len(trailer)) + b"".join(trailer)
 
     Path(path).write_bytes(bytes(out))
 
@@ -371,23 +391,39 @@ def save_index(index, path) -> None:
 class _Reader:
     def __init__(self, data: bytes, path):
         self.data = data
-        self.off = 0
+        self.off = len(NGI_MAGIC)
         self.path = path
-
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.off + size > len(self.data):
-            raise CoreliteError(f"{self.path}: truncated index file")
-        vals = struct.unpack_from(fmt, self.data, self.off)
-        self.off += size
-        return vals
 
     def raw(self, size: int) -> bytes:
         if self.off + size > len(self.data):
             raise CoreliteError(f"{self.path}: truncated index file")
-        out = self.data[self.off : self.off + size]
         self.off += size
-        return out
+        return self.data[self.off - size : self.off]
+
+    def take(self, fmt: str):
+        return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
+
+    def table(self, mode: _Mode, n: int) -> dict:
+        """A u64 count, then that many (key, count u64) entries."""
+        (count,) = self.take("<Q")
+        width = mode.width(n)
+        if width is None:
+            table = {}
+            raw, unpack = self.raw, mode.unpack
+            for _ in range(count):
+                (size,) = _U32.unpack(raw(4))
+                key = unpack(raw(size))
+                (table[key],) = _U64.unpack(raw(8))
+            return table
+        records = struct.iter_unpack(f"<{width}sQ", self.raw(count * (width + 8)))
+        return {mode.unpack(key): c for key, c in records}
+
+    def keys(self, mode: _Mode, tokens: int) -> list:
+        """A u64 count, then that many fixed-width keys of `tokens` tokens each."""
+        (count,) = self.take("<Q")
+        width = mode.width(tokens)
+        block = self.raw(count * width)
+        return [mode.unpack(k) for (k,) in struct.iter_unpack(f"<{width}s", block)]
 
 
 def load_index(path):
@@ -396,65 +432,24 @@ def load_index(path):
     if data[:4] != NGI_MAGIC:
         raise CoreliteError(f"{path}: bad magic, expected {NGI_MAGIC!r}")
     r = _Reader(data, path)
-    r.off = 4
-    version, n, freq, kind, hashed_flag = r.take("<HHIBB")
+    version, n, freq, kind, hashed = r.take("<HHIBB")
     if version != NGI_VERSION:
         raise CoreliteError(f"{path}: unsupported index version {version}")
-    hashed = bool(hashed_flag)
-    (count,) = r.take("<Q")
-
-    table: dict = {}
-    for _ in range(count):
-        if hashed:
-            (key,) = r.take("<Q")
-        elif kind == _KIND_TEXT:
-            (key_len,) = r.take("<I")
-            key_bytes = r.raw(key_len)
-            toks = []
-            pos = 0
-            while pos < key_len:
-                (tok_len,) = struct.unpack_from("<I", key_bytes, pos)
-                pos += 4
-                toks.append(key_bytes[pos : pos + tok_len].decode("utf-8"))
-                pos += tok_len
-            key = tuple(toks)
-        else:
-            key = r.take(f"<{n}I")
-        (c,) = r.take("<Q")
-        table[key] = c
-
-    if kind == _KIND_TEXT:
-        meaningless = frozenset(k for k, c in table.items() if c > freq)
-        if hashed:
-            (tok_count,) = r.take("<Q")
-            tokens_of_meaningless = frozenset(
-                r.take("<Q")[0] for _ in range(tok_count)
-            )
-        else:
-            toks: set = set()
-            for key in meaningless:
-                toks.update(key)
-            tokens_of_meaningless = frozenset(toks)
-        if r.off != len(data):
-            raise CoreliteError(f"{path}: trailing bytes in index file")
-        return TextNGramIndex(
-            n=n,
-            freq_threshold=freq,
-            hashed=hashed,
-            table=table,
-            meaningless=meaningless,
-            meaningless_tokens=tokens_of_meaningless,
+    if (kind, hashed) not in _MODES:
+        raise CoreliteError(
+            f"{path}: unknown index kind {kind} or hashed flag {hashed}"
         )
+    _check_n(kind, n, f"{path}: ")
+    mode = _MODES[kind, hashed]
+    hashed = bool(hashed)
 
-    (seq_count,) = r.take("<Q")
-    seqs: set = set()
-    for _ in range(seq_count):
-        if hashed:
-            seqs.add(r.take("<Q")[0])
-        else:
-            seqs.add(r.take(f"<{IMAGE_TOKEN_LEN}I"))
+    table = r.table(mode, n)
+    if kind == _KIND_TEXT:
+        # The hashed-text trailer holds u64 token hashes, read as 1-token keys.
+        index = _text_index(n, freq, hashed, table, lambda _: r.keys(mode, 1))
+    else:
+        exact = frozenset(r.keys(mode, IMAGE_TOKEN_LEN))
+        index = ImageNGramIndex(n=n, hashed=hashed, table=table, exact_sequences=exact)
     if r.off != len(data):
         raise CoreliteError(f"{path}: trailing bytes in index file")
-    return ImageNGramIndex(
-        n=n, hashed=hashed, table=table, exact_sequences=frozenset(seqs)
-    )
+    return index

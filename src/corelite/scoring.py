@@ -18,11 +18,18 @@ def load_scales(path) -> ScaleSpec:
     """Read a {"<dataset>": {"min": ..., "max": ...}} JSON config."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise CoreliteError(f"{path}: expected a JSON object of dataset scales")
     scales: dict[str, tuple[float, float]] = {}
     for dataset, spec in raw.items():
         if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
             raise CoreliteError(f"scale for {dataset!r} must have min and max")
-        scales[dataset] = (float(spec["min"]), float(spec["max"]))
+        try:
+            scales[dataset] = (float(spec["min"]), float(spec["max"]))
+        except (TypeError, ValueError):
+            raise CoreliteError(
+                f"scale for {dataset!r}: min and max must be numbers"
+            ) from None
     return ScaleSpec(scales)
 
 

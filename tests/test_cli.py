@@ -306,3 +306,58 @@ class TestAggregateCorrelate:
         rc = main(["aggregate", "--scores", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "agg.json")])
         assert rc == 1
+
+
+class TestErrorLines:
+    """Malformed inputs exit 1 with one `corelite: error:` line."""
+
+    def _one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("corelite: error: ") and err.count("\n") == 1
+        return err
+
+    def test_non_utf8_corpus(self, tmp_path, capsys):
+        train = tmp_path / "train.jsonl"
+        train.write_bytes(b'{"id": "a", "text": "ok"}\n{"id": "b", "text": "\xff"}\n')
+        rc = main(["index-text", "--train", str(train), "--out", str(tmp_path / "i")])
+        assert rc == 1
+        assert "line 2: invalid UTF-8" in self._one_error_line(capsys)
+
+    def test_non_utf8_scores(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_bytes(b"model,dataset,score\nm\xff,a,1.0\n")
+        rc = main(["aggregate", "--scores", str(scores),
+                   "--out", str(tmp_path / "agg.json")])
+        assert rc == 1
+        self._one_error_line(capsys)
+
+    def test_scales_json_list(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,dataset,score\nm1,a,40.0\n")
+        scales = tmp_path / "scales.json"
+        scales.write_text("[]")
+        rc = main(["aggregate", "--scores", str(scores), "--scales", str(scales),
+                   "--out", str(tmp_path / "agg.json")])
+        assert rc == 1
+        assert "JSON object" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "selection", [{"center_indices": [0]}, {"center_ids": [["a"]]}]
+    )
+    def test_selection_without_center_ids(self, tmp_path, capsys, selection):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("model,dataset,score\nm,a,1.0\n")
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps(selection))
+        rc = main(["gap", "--scores", str(scores), "--selection", str(sel),
+                   "--out", str(tmp_path / "g.json")])
+        assert rc == 1
+        assert "expected a center_ids list" in self._one_error_line(capsys)
+
+    def test_internal_key_error_is_not_a_data_error(self, tmp_path, monkeypatch):
+        def broken(args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("corelite.cli.cmd_gap", broken)
+        with pytest.raises(KeyError):
+            main(["gap", "--scores", "s", "--selection", "x", "--out", "o"])

@@ -98,6 +98,44 @@ class TestTokenCorpus:
             load_token_corpus(p)
 
 
+class TestJsonlRecords:
+    """Rules both JSONL loaders share: one record loop validates both."""
+
+    LOADERS = [
+        (load_text_corpus, "text", "hello"),
+        (load_token_corpus, "tokens", list(range(32))),
+    ]
+
+    @pytest.mark.parametrize("loader,field,value", LOADERS)
+    def test_integer_id_rejected(self, tmp_path, loader, field, value):
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps({"id": 7, field: value}) + "\n")
+        with pytest.raises(CoreliteError, match="line 1: id must be a string"):
+            loader(p)
+
+    @pytest.mark.parametrize("loader,field,value", LOADERS)
+    def test_non_utf8_names_line(self, tmp_path, loader, field, value):
+        p = tmp_path / "c.jsonl"
+        good = json.dumps({"id": "a", field: value}).encode()
+        p.write_bytes(good + b"\n" + b'{"id": "b\xff"}\n')
+        with pytest.raises(CoreliteError, match="line 2: invalid UTF-8"):
+            loader(p)
+
+    @pytest.mark.parametrize("loader,field,value", LOADERS)
+    def test_non_object_record_rejected(self, tmp_path, loader, field, value):
+        p = tmp_path / "c.jsonl"
+        p.write_text('"id and text"\n')
+        with pytest.raises(CoreliteError, match="line 1: expected a JSON object"):
+            loader(p)
+
+    @pytest.mark.parametrize("loader,field,value", LOADERS)
+    def test_crlf_and_blank_lines(self, tmp_path, loader, field, value):
+        p = tmp_path / "c.jsonl"
+        rec = json.dumps({"id": "a", field: value}).encode()
+        p.write_bytes(b"\r\n" + rec + b"\r\n \r\n")
+        assert [r.id for r in loader(p)] == ["a"]
+
+
 class TestEmbeddings:
     def test_zero_rows(self, tmp_path):
         m = EmbeddingMatrix((), np.zeros((0, 4), dtype=np.float32))

@@ -1,17 +1,21 @@
+import hashlib
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corelite import CoreliteError
-from corelite.corpus import TextDocument, TokenSequence
+from corelite.corpus import TextDocument, TokenSequence, tokenize_text
 from corelite.decontam import (
     ContaminationCategory,
+    NGI_MAGIC,
     build_image_index,
     build_text_index,
     categorize,
     fnv1a64,
+    hash_text_token,
     load_index,
     overlap_ratio,
     save_index,
@@ -69,6 +73,11 @@ class TestBuildTextIndex:
             build_text_index([], n=0)
         with pytest.raises(CoreliteError):
             build_text_index([], freq_threshold=0)
+
+    def test_n_beyond_header_field_rejected(self):
+        # NGI1 stores n as a u16.
+        with pytest.raises(CoreliteError, match="n must be in 1..65535"):
+            build_text_index([], n=1 << 16)
 
 
 class TestOverlapRatio:
@@ -286,3 +295,91 @@ class TestSerialization:
         (tmp_path / "idx.bin").write_bytes(raw[:-3])
         with pytest.raises(CoreliteError, match="truncated|trailing"):
             load_index(tmp_path / "idx.bin")
+
+
+def _forged(tmp_path, n, kind, hashed, body):
+    path = tmp_path / "forged.bin"
+    path.write_bytes(NGI_MAGIC + struct.pack("<HHIBB", 1, n, 0, kind, hashed) + body)
+    return path
+
+
+EMPTY_IMAGE_BODY = struct.pack("<QQ", 0, 0)  # no entries, no exact sequences
+
+
+class TestForgedHeaders:
+    def test_unknown_kind(self, tmp_path):
+        path = _forged(tmp_path, 8, 9, 0, EMPTY_IMAGE_BODY)
+        with pytest.raises(CoreliteError, match="unknown index kind 9"):
+            load_index(path)
+
+    def test_hashed_flag_not_boolean(self, tmp_path):
+        path = _forged(tmp_path, 8, 1, 7, EMPTY_IMAGE_BODY)
+        with pytest.raises(CoreliteError, match="hashed flag 7"):
+            load_index(path)
+
+    @pytest.mark.parametrize("n", [0, 33])
+    def test_image_n_out_of_range(self, tmp_path, n):
+        # One entry (a key of n ids, count 5), then no exact sequences.
+        body = struct.pack("<Q", 1) + bytes(4 * n) + struct.pack("<QQ", 5, 0)
+        with pytest.raises(CoreliteError, match="n must be in 1..32"):
+            load_index(_forged(tmp_path, n, 1, 0, body))
+
+    def test_text_n_zero(self, tmp_path):
+        path = _forged(tmp_path, 0, 0, 0, struct.pack("<Q", 0))
+        with pytest.raises(CoreliteError, match="n must be in 1"):
+            load_index(path)
+
+
+GOLDEN_BOILER = (
+    "Please answer the following question about the image: naïve café déjà vu"
+)
+GOLDEN_TEXT = [
+    doc(f"t{i}", f"{GOLDEN_BOILER} item {i} of {i * 7} zürich straße {i % 3}")
+    for i in range(5)
+] + [doc("solo", "a short document with exactly nine words in it")]
+GOLDEN_IMAGES = [
+    seq(f"i{i}", [(i * 37 + j * 1013) % 70000 for j in range(32)]) for i in range(6)
+]
+GOLDEN_IMAGES.append(seq("dup", GOLDEN_IMAGES[0].tokens))
+
+
+class TestGoldenNGI1:
+    """NGI1 bytes for every (kind, hashed) pair, pinned by SHA-256.
+
+    The digests were computed by the implementation that kept a separate
+    code path per mode; they pin the format, key encodings and sort orders.
+    """
+
+    DIGESTS = {
+        ("text", False): "1ad87d53ef952c23c7a14334f04f5889153878c4b8a8b90b19f4a3b02bd11f20",
+        ("text", True): "164b4c82f3d64b556c18687871937bbb60517441c7a62a198a1a7c935b03c300",
+        ("image", False): "2f76aa0fd5999bc3a5810191223eb09c5daf7445c58540ae72025f0dd8d1c358",
+        ("image", True): "8677339a59fd87d24ca20415f91373442b92e89ccab885e9793fe56c3dbc47d7",
+    }
+
+    def _index(self, kind, hashed):
+        if kind == "text":
+            return build_text_index(GOLDEN_TEXT, freq_threshold=3, hashed=hashed)
+        return build_image_index(GOLDEN_IMAGES, hashed=hashed)
+
+    @pytest.mark.parametrize("kind,hashed", sorted(DIGESTS))
+    def test_digest(self, tmp_path, kind, hashed):
+        index = self._index(kind, hashed)
+        save_index(index, tmp_path / "idx.bin")
+        raw = (tmp_path / "idx.bin").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == self.DIGESTS[kind, hashed]
+        assert load_index(tmp_path / "idx.bin") == index
+
+    def test_corpus_tells_the_trailer_orders_apart(self):
+        # The hashed-text trailer sorts token hashes by integer value, unlike
+        # entries, which sort by packed little-endian bytes. The corpus must
+        # have enough meaningless tokens for the two orders to differ.
+        tokens = self._index("text", True).meaningless_tokens
+        # The boilerplate's 11 distinct words, plus "item", which follows it
+        # in every document.
+        expected = tokenize_text(GOLDEN_BOILER) + ["item"]
+        assert tokens == {hash_text_token(t) for t in expected}
+        assert len(tokens) == 12
+        by_value = sorted(tokens)
+        by_bytes = sorted(tokens, key=lambda t: struct.pack("<Q", t))
+        assert by_value != by_bytes

@@ -272,3 +272,15 @@ class TestLoadScales:
         p.write_text('{"mme": {"min": 5, "max": 5}}')
         with pytest.raises(CoreliteError, match="max must exceed min"):
             load_scales(p)
+
+    def test_non_object_rejected(self, tmp_path):
+        p = tmp_path / "scales.json"
+        p.write_text('[{"min": 0, "max": 100}]')
+        with pytest.raises(CoreliteError, match="JSON object"):
+            load_scales(p)
+
+    def test_non_numeric_bound_rejected(self, tmp_path):
+        p = tmp_path / "scales.json"
+        p.write_text('{"mme": {"min": "low", "max": 2800}}')
+        with pytest.raises(CoreliteError, match="must be numbers"):
+            load_scales(p)

@@ -1,8 +1,9 @@
 """Command-line front end: select, gap, index/scan, aggregate, correlate.
 
-Every subcommand writes its primary output plus a run manifest recording the
-resolved parameters, input digests, and tool version, so identical inputs
-reproduce byte-identical outputs.
+Every subcommand writes its primary output and returns its resolved
+parameters and input paths; `main` then writes the run manifest (parameters,
+input digests, tool version) next to the output, so identical inputs
+reproduce byte-identical outputs. Every file is written atomically.
 
 Exit codes: 0 success, 1 data/content error, 2 usage error.
 """
@@ -23,6 +24,7 @@ from .corpus import (
     load_scores,
     load_text_corpus,
     load_token_corpus,
+    write_atomic,
 )
 
 
@@ -36,22 +38,11 @@ def _sha256(path) -> str:
 
 def _write_json(path, obj) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    write_atomic(path, (text + "\n").encode("utf-8"))
 
 
 def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
-
-
-def _write_manifest(out_path, subcommand: str, params: dict, inputs: dict) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "tool_version": __version__,
-        "parameters": params,
-        "input_digests": {name: _sha256(p) for name, p in sorted(inputs.items())},
-    }
-    _write_json(f"{out_path}.manifest.json", manifest)
 
 
 def _positive_int(text: str) -> int:
@@ -72,17 +63,13 @@ def _report_to_json(report: decontam.OverlapReport) -> dict:
     }
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> tuple[dict, dict]:
     emb = load_embeddings(args.embeddings, args.ids)
-    if args.k is None:
-        if args.dataset is None:
-            raise CoreliteError("either --k or --dataset is required")
-        key = args.dataset.lower()
-        if key not in coreset.LITE_K_DEFAULTS:
+    k = args.k
+    if k is None:
+        k = coreset.LITE_K_DEFAULTS.get(args.dataset.lower())
+        if k is None:
             raise CoreliteError(f"no default lite size for dataset {args.dataset!r}")
-        k = coreset.LITE_K_DEFAULTS[key]
-    else:
-        k = args.k
     if args.normalize:
         emb = EmbeddingMatrix(emb.ids, coreset.normalize_rows(emb.data))
     sel = coreset.k_center_greedy(emb, k, seed=args.seed)
@@ -97,16 +84,11 @@ def cmd_select(args) -> int:
             "center_ids": [emb.ids[i] for i in sel.center_indices],
         },
     )
-    _write_manifest(
-        args.out,
-        "select",
-        {"k": k, "seed": args.seed, "normalize": args.normalize, "metric": "l2"},
-        {"embeddings": args.embeddings, "ids": args.ids},
-    )
-    return 0
+    params = {"k": k, "seed": args.seed, "normalize": args.normalize, "metric": "l2"}
+    return params, {"embeddings": args.embeddings, "ids": args.ids}
 
 
-def cmd_gap(args) -> int:
+def cmd_gap(args) -> tuple[dict, dict]:
     # Per-instance scores in file order: the dataset column holds the instance id.
     scores = load_scores(args.scores).entries
     values = list(scores.values())
@@ -134,29 +116,21 @@ def cmd_gap(args) -> int:
             "total": len(values),
         },
     )
-    _write_manifest(
-        args.out, "gap", {}, {"scores": args.scores, "selection": args.selection}
-    )
     print(f"gap={gap.gap}")
-    return 0
+    return {}, {"scores": args.scores, "selection": args.selection}
 
 
-def cmd_index_text(args) -> int:
+def cmd_index_text(args) -> tuple[dict, dict]:
     train = load_text_corpus(args.train)
     index = decontam.build_text_index(
         train, n=args.n, freq_threshold=args.freq_threshold, hashed=args.hashed
     )
     decontam.save_index(index, args.out)
-    _write_manifest(
-        args.out,
-        "index-text",
-        {"n": args.n, "freq_threshold": args.freq_threshold, "hashed": args.hashed},
-        {"train": args.train},
-    )
-    return 0
+    params = {"n": args.n, "freq_threshold": args.freq_threshold, "hashed": args.hashed}
+    return params, {"train": args.train}
 
 
-def cmd_scan_text(args) -> int:
+def cmd_scan_text(args) -> tuple[dict, dict]:
     index = decontam.load_index(args.index)
     if not isinstance(index, decontam.TextNGramIndex):
         raise CoreliteError(f"{args.index}: not a text index")
@@ -166,45 +140,31 @@ def cmd_scan_text(args) -> int:
         )
     bench = load_text_corpus(args.bench)
     report = decontam.scan_text(bench, index, ratio_threshold=args.ratio_threshold)
-    _write_json(args.report, _report_to_json(report))
-    _write_manifest(
-        args.report,
-        "scan-text",
-        {"ratio_threshold": args.ratio_threshold, "n": index.n},
-        {"index": args.index, "bench": args.bench},
-    )
+    _write_json(args.out, _report_to_json(report))
     print(f"text_overlap_pct={report.text_overlap_pct}")
-    return 0
+    params = {"ratio_threshold": args.ratio_threshold, "n": index.n}
+    return params, {"index": args.index, "bench": args.bench}
 
 
-def cmd_index_image(args) -> int:
+def cmd_index_image(args) -> tuple[dict, dict]:
     train = load_token_corpus(args.train)
     index = decontam.build_image_index(train, hashed=args.hashed)
     decontam.save_index(index, args.out)
-    _write_manifest(
-        args.out, "index-image", {"n": 8, "hashed": args.hashed}, {"train": args.train}
-    )
-    return 0
+    return {"n": 8, "hashed": args.hashed}, {"train": args.train}
 
 
-def cmd_scan_image(args) -> int:
+def cmd_scan_image(args) -> tuple[dict, dict]:
     index = decontam.load_index(args.index)
     if not isinstance(index, decontam.ImageNGramIndex):
         raise CoreliteError(f"{args.index}: not an image index")
     bench = load_token_corpus(args.bench)
     report = decontam.scan_image(bench, index)
-    _write_json(args.report, _report_to_json(report))
-    _write_manifest(
-        args.report,
-        "scan-image",
-        {"n": index.n},
-        {"index": args.index, "bench": args.bench},
-    )
+    _write_json(args.out, _report_to_json(report))
     print(f"image_overlap_pct={report.image_overlap_pct}")
-    return 0
+    return {"n": index.n}, {"index": args.index, "bench": args.bench}
 
 
-def cmd_aggregate(args) -> int:
+def cmd_aggregate(args) -> tuple[dict, dict]:
     scores = load_scores(args.scores)
     scales = scoring.load_scales(args.scales) if args.scales else ScaleSpec({})
     weighting = "instance_weighted" if args.weighted else "unweighted"
@@ -219,11 +179,10 @@ def cmd_aggregate(args) -> int:
     inputs = {"scores": args.scores}
     if args.scales:
         inputs["scales"] = args.scales
-    _write_manifest(args.out, "aggregate", {"weighted": args.weighted}, inputs)
-    return 0
+    return {"weighted": args.weighted}, inputs
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> tuple[dict, dict]:
     full = load_scores(args.full)
     lite = load_scores(args.lite)
     result = scoring.correlate_lite(full, lite, method=args.method)
@@ -239,13 +198,7 @@ def cmd_correlate(args) -> int:
             "undefined_reason": result.undefined_reason,
         },
     )
-    _write_manifest(
-        args.out,
-        "correlate",
-        {"method": args.method},
-        {"full": args.full, "lite": args.lite},
-    )
-    return 0
+    return {"method": args.method}, {"full": args.full, "lite": args.lite}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,9 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="k-center greedy coreset selection")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--ids", required=True)
-    p.add_argument("--k", type=_positive_int, metavar="K",
-                   help="number of centers (must be ≥ 1)")
-    p.add_argument("--dataset", help="use the default lite size for this dataset")
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--k", type=_positive_int, metavar="K",
+                      help="number of centers (must be ≥ 1)")
+    size.add_argument("--dataset", help="use the default lite size for this dataset")
     p.add_argument("--seed", type=int, default=0)
     norm = p.add_mutually_exclusive_group()
     norm.add_argument("--normalize", dest="normalize", action="store_true",
@@ -289,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench", required=True)
     p.add_argument("--n", type=_positive_int, help="assert the index n")
     p.add_argument("--ratio-threshold", type=float, default=0.75)
-    p.add_argument("--report", required=True)
+    p.add_argument("--report", dest="out", metavar="REPORT", required=True)
     p.set_defaults(func=cmd_scan_text)
 
     p = sub.add_parser("index-image", help="build an image-token 8-gram index")
@@ -301,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-image", help="scan a benchmark for image overlap")
     p.add_argument("--index", required=True)
     p.add_argument("--bench", required=True)
-    p.add_argument("--report", required=True)
+    p.add_argument("--report", dest="out", metavar="REPORT", required=True)
     p.set_defaults(func=cmd_scan_image)
 
     p = sub.add_parser("aggregate", help="normalize and average scores per model")
@@ -325,10 +279,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        params, inputs = args.func(args)
+        manifest = {
+            "subcommand": args.command,
+            "tool_version": __version__,
+            "parameters": params,
+            "input_digests": {name: _sha256(p) for name, p in sorted(inputs.items())},
+        }
+        _write_json(f"{args.out}.manifest.json", manifest)
     except (CoreliteError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"corelite: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

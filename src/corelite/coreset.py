@@ -164,7 +164,7 @@ def k_center_greedy(
 
     return CoresetSelection(
         center_indices=tuple(centers),
-        coverage_radius=float(min_dist.max()) if n else 0.0,
+        coverage_radius=float(min_dist.max()),
         k=k,
         seed=seed,
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass, field
@@ -116,14 +117,34 @@ class ScoreTable:
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """Per-dataset (min, max) normalization ranges; max strictly above min."""
+    """Per-dataset (min, max) normalization ranges; max - min positive and finite."""
 
     scales: dict[str, tuple[float, float]]
 
     def __post_init__(self):
         for dataset, (lo, hi) in self.scales.items():
-            if not hi > lo:
-                raise CoreliteError(f"scale for {dataset!r}: max must exceed min")
+            if not (hi > lo and math.isfinite(hi - lo)):
+                raise CoreliteError(
+                    f"scale for {dataset!r}: max must exceed min by a finite amount"
+                )
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to `path` whole or not at all: a temp file, then os.replace.
+
+    The temp file sits next to `path` and is opened like any new file, so the
+    result's mode follows the umask. On failure it is removed, and any file
+    already at `path` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _jsonl_records(path, field_name: str):
@@ -172,7 +193,7 @@ def load_text_corpus(path) -> list[TextDocument]:
     return docs
 
 
-def load_token_corpus(path, expected_len: int = IMAGE_TOKEN_LEN) -> list[TokenSequence]:
+def load_token_corpus(path) -> list[TokenSequence]:
     """Read line-delimited JSON records {"id": ..., "tokens": [...]}, validating length."""
     seqs: list[TokenSequence] = []
     for lineno, seq_id, tokens in _jsonl_records(path, "tokens"):
@@ -180,9 +201,9 @@ def load_token_corpus(path, expected_len: int = IMAGE_TOKEN_LEN) -> list[TokenSe
             isinstance(t, int) and not isinstance(t, bool) for t in tokens
         ):
             raise CoreliteError(f"line {lineno}: tokens must be a list of integers")
-        if len(tokens) != expected_len:
+        if len(tokens) != IMAGE_TOKEN_LEN:
             raise CoreliteError(
-                f"id={seq_id}: length {len(tokens)}, expected {expected_len}"
+                f"id={seq_id}: length {len(tokens)}, expected {IMAGE_TOKEN_LEN}"
             )
         seqs.append(TokenSequence(seq_id, tuple(tokens)))
     return seqs
@@ -213,18 +234,15 @@ def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
         raise CoreliteError(
             f"{ids_path}: {len(ids)} ids for {n} rows in {data_path}"
         )
-    return EmbeddingMatrix(tuple(ids), data.astype(np.float32))
+    return EmbeddingMatrix(tuple(ids), data)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, data_path, ids_path) -> None:
     """Write the EMB1 binary matrix and sidecar ids file (one id per line, LF)."""
-    with open(data_path, "wb") as fh:
-        fh.write(EMB_MAGIC)
-        fh.write(struct.pack("<II", matrix.n, matrix.d))
-        fh.write(matrix.data.astype("<f4").tobytes(order="C"))
-    with open(ids_path, "w", encoding="utf-8", newline="\n") as fh:
-        for row_id in matrix.ids:
-            fh.write(row_id + "\n")
+    out = bytearray(EMB_MAGIC + struct.pack("<II", matrix.n, matrix.d))
+    out += memoryview(np.ascontiguousarray(matrix.data, dtype="<f4"))
+    write_atomic(data_path, out)
+    write_atomic(ids_path, "".join(f"{i}\n" for i in matrix.ids).encode("utf-8"))
 
 
 def load_scores(path) -> ScoreTable:

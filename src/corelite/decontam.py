@@ -22,7 +22,13 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import CoreliteError
-from .corpus import IMAGE_TOKEN_LEN, TextDocument, TokenSequence, tokenize_text
+from .corpus import (
+    IMAGE_TOKEN_LEN,
+    TextDocument,
+    TokenSequence,
+    tokenize_text,
+    write_atomic,
+)
 
 NGI_MAGIC = b"NGI1"
 NGI_VERSION = 1
@@ -58,9 +64,13 @@ def _unpack_words(raw: bytes) -> tuple[str, ...]:
     words = []
     pos = 0
     while pos < len(raw):
+        if pos + 4 > len(raw):
+            raise ValueError("token length cut short")
         (size,) = _U32.unpack_from(raw, pos)
-        words.append(raw[pos + 4 : pos + 4 + size].decode("utf-8"))
         pos += 4 + size
+        if pos > len(raw):
+            raise ValueError("token runs past the key")
+        words.append(raw[pos - size : pos].decode("utf-8"))
     return tuple(words)
 
 
@@ -385,7 +395,7 @@ def save_index(index, path) -> None:
     if trailer is not None:
         out += struct.pack("<Q", len(trailer)) + b"".join(trailer)
 
-    Path(path).write_bytes(bytes(out))
+    write_atomic(path, out)
 
 
 class _Reader:
@@ -412,7 +422,14 @@ class _Reader:
             raw, unpack = self.raw, mode.unpack
             for _ in range(count):
                 (size,) = _U32.unpack(raw(4))
-                key = unpack(raw(size))
+                try:
+                    key = unpack(raw(size))
+                except ValueError as exc:  # includes UnicodeDecodeError
+                    raise CoreliteError(f"{self.path}: bad text key ({exc})") from None
+                if len(key) != n:
+                    raise CoreliteError(
+                        f"{self.path}: text key of {len(key)} tokens, expected {n}"
+                    )
                 (table[key],) = _U64.unpack(raw(8))
             return table
         records = struct.iter_unpack(f"<{width}sQ", self.raw(count * (width + 8)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,12 +25,16 @@ def load_scales(path) -> ScaleSpec:
     for dataset, spec in raw.items():
         if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
             raise CoreliteError(f"scale for {dataset!r} must have min and max")
-        try:
-            scales[dataset] = (float(spec["min"]), float(spec["max"]))
-        except (TypeError, ValueError):
+        bounds = (spec["min"], spec["max"])
+        if not all(
+            isinstance(b, (int, float)) and not isinstance(b, bool)
+            and abs(b) <= sys.float_info.max  # false for inf and nan
+            for b in bounds
+        ):
             raise CoreliteError(
-                f"scale for {dataset!r}: min and max must be numbers"
-            ) from None
+                f"scale for {dataset!r}: min and max must be numbers (finite, unquoted)"
+            )
+        scales[dataset] = (float(bounds[0]), float(bounds[1]))
     return ScaleSpec(scales)
 
 

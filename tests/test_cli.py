@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -82,6 +86,20 @@ class TestSelect:
         ])
         assert rc == 0
         assert json.loads(out.read_text())["k"] == 60
+
+    @pytest.mark.parametrize(
+        "size", [[], ["--k", "3", "--dataset", "LLaVA-W"]], ids=["neither", "both"]
+    )
+    def test_k_and_dataset_exclusive(self, tmp_path, emb_files, capsys, size):
+        data_path, ids_path = emb_files
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "select", "--embeddings", str(data_path), "--ids", str(ids_path),
+                *size, "--out", str(tmp_path / "x.json"),
+            ])
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     def test_manifest_echoes_defaults(self, tmp_path, emb_files):
         data_path, ids_path = emb_files
@@ -341,6 +359,26 @@ class TestErrorLines:
         assert rc == 1
         assert "JSON object" in self._one_error_line(capsys)
 
+    def test_scales_infinite_bounds(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,dataset,score\nm1,d,40.0\n")
+        scales = tmp_path / "scales.json"
+        scales.write_text('{"d": {"min": "-inf", "max": "inf"}}')
+        rc = main(["aggregate", "--scores", str(scores), "--scales", str(scales),
+                   "--out", str(tmp_path / "agg.json")])
+        assert rc == 1
+        assert "must be numbers" in self._one_error_line(capsys)
+        assert not (tmp_path / "agg.json").exists()
+
+    def test_unwritable_output_leaves_no_manifest(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,dataset,score\nm1,a,40.0\n")
+        out = tmp_path / "missing-dir" / "agg.json"
+        rc = main(["aggregate", "--scores", str(scores), "--out", str(out)])
+        assert rc == 1
+        self._one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == [scores]
+
     @pytest.mark.parametrize(
         "selection", [{"center_indices": [0]}, {"center_ids": [["a"]]}]
     )
@@ -361,3 +399,168 @@ class TestErrorLines:
         monkeypatch.setattr("corelite.cli.cmd_gap", broken)
         with pytest.raises(KeyError):
             main(["gap", "--scores", "s", "--selection", "x", "--out", "o"])
+
+
+def _golden_inputs(root):
+    """Fixed inputs for every subcommand; small integers keep floats BLAS-free."""
+    points = [[(i * 7) % 11, (i * 5) % 13, (i * 3) % 5] for i in range(20)]
+    ids = tuple(f"s{i}" for i in range(20))
+    save_embeddings(
+        EmbeddingMatrix(ids, np.array(points, dtype=np.float32)),
+        root / "e.bin", root / "e.ids",
+    )
+    (root / "inst.csv").write_text(
+        "model,dataset,score\n" + "".join(f"m,s{i},{(i * 37) % 100 / 4}\n" for i in range(20))
+    )
+    boiler = "please answer the question about the image shown below carefully"
+    write_jsonl(root / "train.jsonl", [
+        {"id": f"t{i}", "text": f"{boiler} item {i} of {i * 7} zürich straße"}
+        for i in range(5)
+    ] + [{"id": "solo", "text": " ".join(f"solo{j}" for j in range(12))}])
+    write_jsonl(root / "bench.jsonl", [
+        {"id": "copy", "text": " ".join(f"solo{j}" for j in range(12))},
+        {"id": "boiler", "text": boiler},
+        {"id": "clean", "text": " ".join(f"b{j}" for j in range(10))},
+    ])
+    write_jsonl(root / "itrain.jsonl", [
+        {"id": f"i{i}", "tokens": [(i * 37 + j * 1013) % 70000 for j in range(32)]}
+        for i in range(4)
+    ])
+    write_jsonl(root / "ibench.jsonl", [
+        {"id": "dup", "tokens": [(j * 1013) % 70000 for j in range(32)]},
+        {"id": "sim", "tokens": [(37 + j * 1013) % 70000 for j in range(8)]
+         + list(range(100, 124))},
+        {"id": "clean", "tokens": list(range(200, 232))},
+    ])
+    (root / "agg.csv").write_text(
+        "model,dataset,score,count\n"
+        "m1,a,40.0,3\nm1,mme,1841.8,7\nm2,a,55.5,3\nm2,mme,1500,7\n"
+    )
+    (root / "scales.json").write_text('{"mme": {"min": 0, "max": 2800}}')
+    (root / "full.csv").write_text(
+        "model,dataset,score\nm1,a,10\nm2,a,25\nm3,a,31\nm1,b,5\nm2,b,9\nm3,b,2\n"
+    )
+    (root / "lite.csv").write_text(
+        "model,dataset,score\nm1,a,11\nm2,a,24\nm3,a,30\nm1,b,4\nm2,b,9\nm3,b,3\n"
+    )
+
+
+def _golden_run(root):
+    """Run every subcommand once; returns (output name -> SHA-256, stdout)."""
+    _golden_inputs(root)
+    f = {name: str(root / name) for name in (
+        "e.bin", "e.ids", "inst.csv", "train.jsonl", "bench.jsonl", "itrain.jsonl",
+        "ibench.jsonl", "agg.csv", "scales.json", "full.csv", "lite.csv",
+    )}
+    runs = [
+        ["select", "--embeddings", f["e.bin"], "--ids", f["e.ids"], "--k", "5",
+         "--seed", "3", "--no-normalize", "--out", "sel.json"],
+        ["gap", "--scores", f["inst.csv"], "--selection", str(root / "sel.json"),
+         "--out", "gap.json"],
+        ["aggregate", "--scores", f["agg.csv"], "--scales", f["scales.json"],
+         "--weighted", "--out", "agg.json"],
+        ["correlate", "--full", f["full.csv"], "--lite", f["lite.csv"],
+         "--out", "corr.json"],
+    ]
+    for mode, flags in (("exact", []), ("hashed", ["--hashed"])):
+        runs += [
+            ["index-text", "--train", f["train.jsonl"], "--freq-threshold", "3",
+             *flags, "--out", f"text-{mode}.ngi"],
+            ["scan-text", "--index", str(root / f"text-{mode}.ngi"),
+             "--bench", f["bench.jsonl"], "--report", f"text-{mode}.json"],
+            ["index-image", "--train", f["itrain.jsonl"], *flags,
+             "--out", f"image-{mode}.ngi"],
+            ["scan-image", "--index", str(root / f"image-{mode}.ngi"),
+             "--bench", f["ibench.jsonl"], "--report", f"image-{mode}.json"],
+        ]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        for argv in runs:
+            argv[-1] = str(root / argv[-1])
+            assert main(argv) == 0, argv
+    digests = {}
+    for argv in runs:
+        for path in (argv[-1], argv[-1] + ".manifest.json"):
+            raw = open(path, "rb").read()
+            digests[os.path.basename(path)] = hashlib.sha256(raw).hexdigest()
+    return digests, stdout.getvalue()
+
+
+class TestGoldenArtifacts:
+    """Every subcommand's output and manifest, pinned by SHA-256.
+
+    The digests were taken from the implementation in which each subcommand
+    wrote its own manifest and files were written in place.
+    """
+
+    DIGESTS = {
+        "agg.json":
+            "efcde3cdd0369a29d7aa05ed38f852f1d2c91b57909cdf10aa009fe123531961",
+        "agg.json.manifest.json":
+            "dee17d1a96fa0304738b8bfb727e7e2654723de6c3cd34166081d62af8c93841",
+        "corr.json":
+            "d950d194973dfa544098063357b0dedeb9eedc7d1e79109f3ae4cf8f23cd39ea",
+        "corr.json.manifest.json":
+            "92363ce30ca9a9ba83a37a5512723edf8d664c93aeb1b8ce3e0922ebad2afc72",
+        "gap.json":
+            "39d26c84d6a663c007bf12d964843e1e4073ca055f51dc8a8f8703af7dd0da01",
+        "gap.json.manifest.json":
+            "13393a01dea87f8b62e9b57c54f4e455c8367d469351fabe3d9d4a960e4d6e4d",
+        "image-exact.json":
+            "6c7a9e649572b9d52230f576ce2de43fe374b9a473d3b3f21c5a6903283db8fc",
+        "image-exact.json.manifest.json":
+            "317bdfbd273ca0184dd4af6bf1da260ae1a8c81e48f72d211bbc7fae09ce165a",
+        "image-exact.ngi":
+            "b8c339f86341be505ea75c8e2358a90a2ccccf87459dcf2623ecfe6434e17e34",
+        "image-exact.ngi.manifest.json":
+            "6b78856f62000c2f464cb35e0f89cbdb3dddde6277d3e3314911654d3000c7b9",
+        "image-hashed.json":
+            "6c7a9e649572b9d52230f576ce2de43fe374b9a473d3b3f21c5a6903283db8fc",
+        "image-hashed.json.manifest.json":
+            "05fa374ad449e453d546ff773c200f7b8c69c28248f48f343795271e201508d8",
+        "image-hashed.ngi":
+            "bf97a7a809b837e0b638b2c5cf7651ecb708895ce604d93be521462eb3170251",
+        "image-hashed.ngi.manifest.json":
+            "d7ca132be73a524ba6546ec31bbba8b0d9d3268b1474cca06f69cabd5dab4e24",
+        "sel.json":
+            "c6abeff4e0f88e3d0836fd448c5d69fd98a75eed1a13c99314f65c6f8523c288",
+        "sel.json.manifest.json":
+            "a0fbd53d13de17923274c7bbff66d429a13652b7e49eba3be3b122a423edcb1a",
+        "text-exact.json":
+            "f436f362ef38e4e9b10ea91333c82f783c6ddc6d5f7c9863f9b9cfd885d47aeb",
+        "text-exact.json.manifest.json":
+            "986cc641aa33f9ac063e75f00e6937c8ca38b576b1601c501b98ad9bd17a8986",
+        "text-exact.ngi":
+            "f3427ad5f518cc34408034cf0cb30f9827cfcc40ce6862c7329e5264c6a61e9a",
+        "text-exact.ngi.manifest.json":
+            "322bc29aff83291377c68d6063e5a95c8b22dccbe3206516c7c164cb8b589f55",
+        "text-hashed.json":
+            "f436f362ef38e4e9b10ea91333c82f783c6ddc6d5f7c9863f9b9cfd885d47aeb",
+        "text-hashed.json.manifest.json":
+            "35cc102bc94b2af5ac9a1ab8193484175007350789479484fe62352f45b12421",
+        "text-hashed.ngi":
+            "f4925cd54a256ab5388045e2a2dac83e209eb92ea4903c13484271e02eafc3be",
+        "text-hashed.ngi.manifest.json":
+            "ec3296c3510e9a04f713d2d91c2ed3f03d56e76281f4cdfea581b674a9813d5b",
+    }
+    STDOUT = (
+        "gap=0.875\n"
+        "text_overlap_pct=33.333333333333336\n"
+        "image_overlap_pct=66.66666666666667\n"
+        "text_overlap_pct=33.333333333333336\n"
+        "image_overlap_pct=66.66666666666667\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        return _golden_run(tmp_path_factory.mktemp("golden"))
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_digest(self, run, name):
+        assert run[0][name] == self.DIGESTS[name]
+
+    def test_every_artifact_pinned(self, run):
+        assert sorted(run[0]) == sorted(self.DIGESTS)
+
+    def test_stdout(self, run):
+        assert run[1] == self.STDOUT

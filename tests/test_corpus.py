@@ -1,10 +1,15 @@
+import ast
+import errno
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import corelite
 from corelite import CoreliteError
 from corelite.corpus import (
     EmbeddingMatrix,
@@ -14,6 +19,7 @@ from corelite.corpus import (
     load_text_corpus,
     load_token_corpus,
     save_embeddings,
+    write_atomic,
 )
 
 
@@ -229,3 +235,143 @@ class TestScores:
         p.write_text("model,dataset,score,count\nm1,ai2d,66.6,3088\n")
         table = load_scores(p)
         assert table.counts[("m1", "ai2d")] == 3088
+
+
+class TestWriteAtomic:
+    def test_writes_bytes_and_bytearray(self, tmp_path):
+        write_atomic(tmp_path / "a", b"abc")
+        write_atomic(tmp_path / "b", bytearray(b"xyz"))
+        assert (tmp_path / "a").read_bytes() == b"abc"
+        assert (tmp_path / "b").read_bytes() == b"xyz"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old contents")
+
+        class DiskFull:
+            """A file that takes half of what it is given, then runs out of space."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(
+            "corelite.corpus.open", lambda *a: DiskFull(open(*a)), raising=False
+        )
+        with pytest.raises(OSError, match="No space left"):
+            write_atomic(target, b"new contents, longer than the old ones")
+        assert target.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failed_rename_leaves_no_temp(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError(errno.EXDEV, "rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write_atomic(tmp_path / "out", b"data")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "plain", "wb"):
+                pass
+            (tmp_path / "atomic").write_bytes(b"x")
+            os.chmod(tmp_path / "atomic", 0o600)  # replaced, not rewritten in place
+            write_atomic(tmp_path / "atomic", b"y")
+        finally:
+            os.umask(old)
+        plain = (tmp_path / "plain").stat().st_mode
+        assert (tmp_path / "atomic").stat().st_mode == plain
+        assert plain & 0o777 == 0o640
+
+    def test_stray_temp_name_is_not_clobbered(self, tmp_path):
+        target = tmp_path / "out"
+        stray = tmp_path / f"out.{os.getpid()}.tmp"
+        stray.write_bytes(b"someone else's")
+        with pytest.raises(FileExistsError):
+            write_atomic(target, b"data")
+        assert stray.read_bytes() == b"someone else's"
+        assert not target.exists()
+
+
+_WRITE_METHODS = {"write_bytes", "write_text", "tofile", "save", "savez", "savetxt"}
+_OPEN_MODULES = {"os", "io", "codecs", "gzip", "bz2", "lzma"}  # open(path, mode)
+
+
+def _file_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each call that can write a file.
+
+    A call counts when it is a write method such as `write_bytes`, or an
+    `open` whose mode is anything but a read-only string literal: builtin
+    `open` and `os.open`/`io.open`/... take the mode second, `Path.open` first.
+    """
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _WRITE_METHODS:
+                found.append((func, node.lineno))
+            elif name == "open":
+                on_path = isinstance(f, ast.Attribute) and not (
+                    isinstance(f.value, ast.Name) and f.value.id in _OPEN_MODULES
+                )
+                pos = 0 if on_path else 1
+                modes = node.args[pos : pos + 1]
+                modes += [k.value for k in node.keywords if k.arg == "mode"]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+class TestOneWriter:
+    SRC = Path(corelite.__file__).parent
+
+    def test_checker_sees_writes(self):
+        source = (
+            "def f(p):\n"
+            "    open(p, 'w'); open(p, mode='ab'); open(p, 'rb'); open(p)\n"
+            "    os.open(p, os.O_WRONLY); p.open('r+'); p.open(); io.open(p, 'rb')\n"
+            "    p.write_text('x'); p.write_bytes(b''); np.save(p, a)\n"
+        )
+        assert _file_writes(source) == [("f", 2)] * 2 + [("f", 3)] * 2 + [("f", 4)] * 3
+
+    def test_only_write_atomic_writes_files(self):
+        writers = {
+            (path.name, func)
+            for path in sorted(self.SRC.glob("*.py"))
+            for func, _ in _file_writes(path.read_text(encoding="utf-8"))
+        }
+        assert writers == {("corpus.py", "write_atomic")}
+
+    def test_only_main_writes_manifests(self):
+        owners = set()
+        for path in sorted(self.SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.FunctionDef):
+                    for sub in ast.walk(node):
+                        if isinstance(sub, ast.Constant) and ".manifest.json" in str(sub.value):
+                            owners.add((path.name, node.name))
+        assert owners == {("cli.py", "main")}

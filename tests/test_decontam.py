@@ -329,6 +329,25 @@ class TestForgedHeaders:
         with pytest.raises(CoreliteError, match="n must be in 1"):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "n,key,message",
+        [
+            (1, b"ab", "token length cut short"),
+            (1, struct.pack("<I", 3) + b"abc" + b"xy", "token length cut short"),
+            (1, struct.pack("<I", 50) + b"abc", "token runs past the key"),
+            (2, struct.pack("<I", 3) + b"abc", "key of 1 tokens, expected 2"),
+            (1, struct.pack("<I", 1) + b"\xff", "can't decode"),
+        ],
+        ids=["2-byte-key", "trailing-bytes", "length-past-key", "token-count", "utf8"],
+    )
+    def test_malformed_exact_text_key(self, tmp_path, n, key, message):
+        # One entry with the given key and count 5; exact text has no trailer.
+        body = struct.pack("<QI", 1, len(key)) + key + struct.pack("<Q", 5)
+        path = _forged(tmp_path, n, 0, 0, body)
+        with pytest.raises(CoreliteError, match=message) as exc:
+            load_index(path)
+        assert str(path) in str(exc.value)
+
 
 GOLDEN_BOILER = (
     "Please answer the following question about the image: naïve café déjà vu"

@@ -284,3 +284,29 @@ class TestLoadScales:
         p.write_text('{"mme": {"min": "low", "max": 2800}}')
         with pytest.raises(CoreliteError, match="must be numbers"):
             load_scales(p)
+
+    @pytest.mark.parametrize(
+        "bound",
+        ['"-inf"', '"0"', "true", "null", "-Infinity", "NaN", "1e400", "1" + "0" * 400],
+        ids=["str-inf", "str-0", "true", "null", "-Infinity", "NaN", "1e400", "10**400"],
+    )
+    def test_non_finite_or_quoted_bound_rejected(self, tmp_path, bound):
+        p = tmp_path / "scales.json"
+        p.write_text(f'{{"mme": {{"min": {bound}, "max": 2800}}}}')
+        with pytest.raises(CoreliteError, match="must be numbers"):
+            load_scales(p)
+        p.write_text(f'{{"mme": {{"min": 0, "max": {bound}}}}}')
+        with pytest.raises(CoreliteError, match="must be numbers"):
+            load_scales(p)
+
+    def test_range_overflow_rejected(self, tmp_path):
+        # Finite bounds whose difference is inf would normalize every score to 0.
+        p = tmp_path / "scales.json"
+        p.write_text('{"mme": {"min": -1e308, "max": 1e308}}')
+        with pytest.raises(CoreliteError, match="by a finite amount"):
+            load_scales(p)
+
+    def test_integer_and_float_bounds(self, tmp_path):
+        p = tmp_path / "scales.json"
+        p.write_text('{"a": {"min": -1, "max": 2.5}, "b": {"min": 0.5, "max": 1e300}}')
+        assert load_scales(p).scales == {"a": (-1.0, 2.5), "b": (0.5, 1e300)}

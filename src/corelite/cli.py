@@ -89,10 +89,18 @@ def cmd_select(args) -> tuple[dict, dict]:
 
 
 def cmd_gap(args) -> tuple[dict, dict]:
-    # Per-instance scores in file order: the dataset column holds the instance id.
+    # One model's per-instance scores in file order: the dataset column holds
+    # the instance id, so an id seen twice means rows of several models.
     scores = load_scores(args.scores).entries
     values = list(scores.values())
-    positions = {inst_id: i for i, (_, inst_id) in enumerate(scores)}
+    positions = {}
+    for i, (_, inst_id) in enumerate(scores):
+        if inst_id in positions:
+            raise CoreliteError(
+                f"{args.scores}: instance id {inst_id!r} appears more than once;"
+                " gap takes one model's per-instance scores"
+            )
+        positions[inst_id] = i
     with open(args.selection, encoding="utf-8") as fh:
         sel = json.load(fh)
     center_ids = sel.get("center_ids") if isinstance(sel, dict) else None

@@ -62,40 +62,6 @@ class SubsetGap:
     gap: float
 
 
-def distance(a, b) -> float:
-    """Euclidean distance with 64-bit accumulation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise CoreliteError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.sum((a - b) ** 2)))
-
-
-def concat_embeddings(
-    image_emb: EmbeddingMatrix,
-    text_emb: EmbeddingMatrix,
-    per_modality_normalize: bool = True,
-) -> EmbeddingMatrix:
-    """Concatenate per-modality embeddings row-wise into one matrix.
-
-    With normalization on, each modality vector is scaled to unit L2 norm
-    before concatenation so neither modality's scale dominates; zero vectors
-    (the all-zero stand-in for a missing modality) are left untouched.
-    """
-    if image_emb.n != text_emb.n:
-        raise CoreliteError(
-            f"row count mismatch: {image_emb.n} image vs {text_emb.n} text"
-        )
-    for pos, (a, b) in enumerate(zip(image_emb.ids, text_emb.ids)):
-        if a != b:
-            raise CoreliteError(f"id mismatch at position {pos}: {a!r} vs {b!r}")
-
-    blocks = [image_emb.data, text_emb.data]
-    if per_modality_normalize:
-        blocks = [normalize_rows(b) for b in blocks]
-    return EmbeddingMatrix(image_emb.ids, np.concatenate(blocks, axis=1))
-
-
 def normalize_rows(block: np.ndarray) -> np.ndarray:
     """Scale each row to unit L2 norm (norms in float64), as float32.
 

@@ -6,9 +6,11 @@ suppressed. Image indexes work over fixed-length 32-token sequences with
 25 stride-1 windows each; an 8-token window hit corresponds to roughly a
 quarter of the image overlapping.
 
-Every index keys its table either by the exact token window or by its 64-bit
-FNV-1a hash (`hashed`). Build, scan, save and load run one body for both;
-`_MODES` supplies what differs per (kind, hashed) pair.
+A table key is the n-gram's NGI1 key bytes: per text token a u32 byte length
+and its UTF-8, per image token a u32 little-endian id. Hashed indexes
+(`hashed`) key by the 64-bit FNV-1a of those bytes instead. Windows are
+slices of one encoding per document or sequence, so build, scan, save and
+load run one body for both modes.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import enum
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, starmap
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import CoreliteError
 from .corpus import (
@@ -41,6 +43,7 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_IMAGE_IDS = struct.Struct(f"<{IMAGE_TOKEN_LEN}I")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -56,68 +59,38 @@ def _text_token_bytes(token: str) -> bytes:
     return _U32.pack(len(raw)) + raw
 
 
-def _pack_words(tokens) -> bytes:
-    return b"".join(map(_text_token_bytes, tokens))
+class _TokenBytes(dict):
+    """Text token -> its NGI1 encoding, each distinct token encoded once."""
+
+    def __missing__(self, token: str) -> bytes:
+        self[token] = encoded = _text_token_bytes(token)
+        return encoded
 
 
-def _unpack_words(raw: bytes) -> tuple[str, ...]:
+def _split_words(key: bytes) -> list[bytes]:
+    """Split an exact text key into its per-token encodings, checking each."""
     words = []
     pos = 0
-    while pos < len(raw):
-        if pos + 4 > len(raw):
+    while pos < len(key):
+        if pos + 4 > len(key):
             raise ValueError("token length cut short")
-        (size,) = _U32.unpack_from(raw, pos)
-        pos += 4 + size
-        if pos > len(raw):
+        end = pos + 4 + _U32.unpack_from(key, pos)[0]
+        if end > len(key):
             raise ValueError("token runs past the key")
-        words.append(raw[pos - size : pos].decode("utf-8"))
-    return tuple(words)
-
-
-def _pack_ids(tokens) -> bytes:
-    return struct.pack(f"<{len(tokens)}I", *tokens)
-
-
-def _unpack_ids(raw: bytes) -> tuple[int, ...]:
-    return struct.unpack(f"<{len(raw) // 4}I", raw)
-
-
-def _unpack_u64(raw: bytes) -> int:
-    return _U64.unpack(raw)[0]
-
-
-def hash_text_token(token: str) -> int:
-    """Hash one word token: length-prefixed UTF-8 through FNV-1a."""
-    return fnv1a64(_text_token_bytes(token))
+        key[pos + 4 : end].decode("utf-8")
+        words.append(key[pos:end])
+        pos = end
+    return words
 
 
 def hash_text_ngram(tokens) -> int:
-    """Hash a word n-gram: per-token length-prefixed UTF-8, in order."""
-    return fnv1a64(_pack_words(tokens))
+    """Hash a word n-gram: its exact key, per-token length-prefixed UTF-8."""
+    return fnv1a64(b"".join(map(_text_token_bytes, tokens)))
 
 
-def hash_image_window(tokens) -> int:
-    """Hash an image-token window: 4-byte little-endian ids, in order."""
-    return fnv1a64(_pack_ids(tokens))
-
-
-class _Mode(NamedTuple):
-    """How one (kind, hashed) pair keys its table and writes keys to NGI1."""
-
-    window_key: Callable  # token window -> table key
-    token_key: Callable | None  # one text token -> meaningless-token key
-    pack: Callable  # table key -> NGI1 key bytes
-    unpack: Callable  # NGI1 key bytes -> table key
-    width: Callable  # tokens per key -> key bytes, or None for a u32 length prefix
-
-
-_HASHED_KEYS = (_U64.pack, _unpack_u64, lambda n: 8)
-_MODES = {
-    (_KIND_TEXT, False): _Mode(tuple, str, _pack_words, _unpack_words, lambda n: None),
-    (_KIND_TEXT, True): _Mode(hash_text_ngram, hash_text_token, *_HASHED_KEYS),
-    (_KIND_IMAGE, False): _Mode(tuple, None, _pack_ids, _unpack_ids, lambda n: 4 * n),
-    (_KIND_IMAGE, True): _Mode(hash_image_window, None, *_HASHED_KEYS),
-}
+def _keys(encodings, hashed: bool):
+    """Table keys of NGI1 encodings: the bytes themselves, or their FNV-1a."""
+    return map(fnv1a64, encodings) if hashed else encodings
 
 
 def _check_n(kind: int, n: int, where: str = "") -> None:
@@ -171,9 +144,10 @@ class OverlapReport:
 class TextNGramIndex:
     """Counts of word n-grams in training data plus the meaningless-gram sets.
 
-    Keys are exact token tuples by default, or 64-bit FNV-1a hashes in
-    hashed mode (memory saver at scale; identical scan results absent
-    collisions).
+    A table key is the n-gram's NGI1 key bytes (per token a u32 byte length
+    and its UTF-8), or in hashed mode their 64-bit FNV-1a (memory saver at
+    scale; identical scan results absent collisions). `meaningless_tokens`
+    holds per-token encodings, or their FNV-1a when hashed.
     """
 
     n: int
@@ -188,8 +162,10 @@ class TextNGramIndex:
 class ImageNGramIndex:
     """Counts of 8-token windows over 32-token image sequences.
 
-    `exact_sequences` holds the full sequences (or their hashes) for
-    duplicate detection. No frequency filtering is applied to images.
+    A table key is the window's NGI1 key bytes (n little-endian u32 ids), or
+    their 64-bit FNV-1a when hashed. `exact_sequences` keys the full
+    sequences the same way, for duplicate detection. No frequency filtering
+    is applied to images.
     """
 
     n: int
@@ -198,16 +174,24 @@ class ImageNGramIndex:
     exact_sequences: frozenset
 
 
-def _text_windows(tokens: list[str], n: int):
-    return zip(*(tokens[i:] for i in range(n)))
+def _text_windows(encoded: list[bytes], n: int) -> list[bytes]:
+    """Exact keys of a document's n-grams: slices of its joined token encodings."""
+    doc = b"".join(encoded)
+    ends = list(accumulate(map(len, encoded), initial=0))
+    return [doc[a:b] for a, b in zip(ends, ends[n:])]
 
 
-def _image_windows(seq: TokenSequence, n: int):
+def _image_encoding(seq: TokenSequence) -> bytes:
     if len(seq.tokens) != IMAGE_TOKEN_LEN:
         raise CoreliteError(
             f"id={seq.id}: length {len(seq.tokens)}, expected {IMAGE_TOKEN_LEN}"
         )
-    return (seq.tokens[i : i + n] for i in range(IMAGE_TOKEN_LEN - n + 1))
+    return _IMAGE_IDS.pack(*seq.tokens)
+
+
+def _image_windows(encoded: bytes, n: int) -> list[bytes]:
+    """Exact keys of a sequence's stride-1 windows: slices of its encoding."""
+    return [encoded[i : i + 4 * n] for i in range(0, len(encoded) - 4 * n + 1, 4)]
 
 
 def _text_index(
@@ -215,14 +199,14 @@ def _text_index(
 ) -> TextNGramIndex:
     """Derive the meaningless n-grams and their token keys from a count table.
 
-    Exact keys hold their tokens. Hashed keys do not, so
+    Exact keys hold their token encodings. Hashed keys do not, so
     `recover_tokens(meaningless)` supplies the token hashes instead.
     """
     meaningless = frozenset(k for k, c in table.items() if c > freq_threshold)
     if hashed:
         tokens = frozenset(recover_tokens(meaningless))
     else:
-        tokens = frozenset(chain.from_iterable(meaningless))
+        tokens = frozenset(chain.from_iterable(map(_split_words, meaningless)))
     return TextNGramIndex(n, freq_threshold, hashed, table, meaningless, tokens)
 
 
@@ -236,23 +220,24 @@ def build_text_index(
     _check_n(_KIND_TEXT, n)
     if freq_threshold < 1:
         raise CoreliteError("freq_threshold must be at least 1")
-    mode = _MODES[_KIND_TEXT, hashed]
+    encode = _TokenBytes().__getitem__
 
     table: Counter = Counter()
     for doc in train:
-        table.update(map(mode.window_key, _text_windows(tokenize_text(doc.text), n)))
+        encoded = list(map(encode, tokenize_text(doc.text)))
+        table.update(_keys(_text_windows(encoded, n), hashed))
 
     def second_pass(meaningless):
         # Hashed keys do not keep their tokens: find them in the corpus again.
         if not meaningless:
             return ()
-        return (
-            mode.token_key(t)
-            for doc in train
-            for window in _text_windows(tokenize_text(doc.text), n)
-            if mode.window_key(window) in meaningless
-            for t in window
-        )
+        tokens = set()
+        for doc in train:
+            encoded = list(map(encode, tokenize_text(doc.text)))
+            for pos, key in enumerate(map(fnv1a64, _text_windows(encoded, n))):
+                if key in meaningless:
+                    tokens.update(encoded[pos : pos + n])
+        return map(fnv1a64, tokens)
 
     return _text_index(n, freq_threshold, hashed, dict(table), second_pass)
 
@@ -260,8 +245,8 @@ def build_text_index(
 def overlap_ratio(candidate, index: TextNGramIndex) -> float:
     """Fraction of a candidate n-gram's token positions found in meaningless n-grams.
 
-    `candidate` is a token tuple (exact mode) or a tuple of token hashes
-    (hashed mode), length index.n either way.
+    `candidate` holds index.n per-token keys: NGI1 token encodings (a u32
+    byte length and the UTF-8), or their FNV-1a in hashed mode.
     """
     if len(candidate) != index.n:
         raise CoreliteError(
@@ -283,19 +268,19 @@ def scan_text(
     A window qualifies when it is present in the training table, is not
     itself meaningless, and has overlap ratio below `ratio_threshold`.
     """
-    mode = _MODES[_KIND_TEXT, index.hashed]
+    encode = _TokenBytes().__getitem__
     per_instance: dict[str, InstanceOverlap] = {}
     hit_count = 0
     for doc in bench:
-        tokens = tokenize_text(doc.text)
-        token_keys = list(map(mode.token_key, tokens))
-        keys = map(mode.window_key, _text_windows(tokens, index.n))
+        encoded = list(map(encode, tokenize_text(doc.text)))
+        token_keys = list(_keys(encoded, index.hashed))
+        keys = _keys(_text_windows(encoded, index.n), index.hashed)
 
         matched = 0
         for pos, key in enumerate(keys):
             if key not in index.table or key in index.meaningless:
                 continue
-            window_keys = tuple(token_keys[pos : pos + index.n])
+            window_keys = token_keys[pos : pos + index.n]
             if overlap_ratio(window_keys, index) < ratio_threshold:
                 matched += 1
         text_hit = matched > 0
@@ -318,23 +303,25 @@ def build_image_index(
 ) -> ImageNGramIndex:
     """Index all stride-1 windows of the 32-token training sequences."""
     _check_n(_KIND_IMAGE, n)
-    mode = _MODES[_KIND_IMAGE, hashed]
     table: Counter = Counter()
+    exact = set()
     for seq in train:
-        table.update(map(mode.window_key, _image_windows(seq, n)))
-    exact = frozenset(mode.window_key(seq.tokens) for seq in train)
-    return ImageNGramIndex(n=n, hashed=hashed, table=dict(table), exact_sequences=exact)
+        encoded = _image_encoding(seq)
+        table.update(_keys(_image_windows(encoded, n), hashed))
+        exact.update(_keys([encoded], hashed))
+    return ImageNGramIndex(n, hashed, dict(table), frozenset(exact))
 
 
 def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapReport:
     """Flag benchmark sequences whose windows (or whole sequence) hit the index."""
-    mode = _MODES[_KIND_IMAGE, index.hashed]
     per_instance: dict[str, InstanceOverlap] = {}
     hit_count = 0
     for seq in bench:
-        keys = map(mode.window_key, _image_windows(seq, index.n))
+        encoded = _image_encoding(seq)
+        keys = _keys(_image_windows(encoded, index.n), index.hashed)
         matched = sum(1 for key in keys if key in index.table)
-        exact_image = mode.window_key(seq.tokens) in index.exact_sequences
+        (whole,) = _keys([encoded], index.hashed)
+        exact_image = whole in index.exact_sequences
         image_hit = matched > 0
         hit_count += image_hit
         per_instance[seq.id] = InstanceOverlap(
@@ -355,15 +342,21 @@ def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapRep
 # Layout: magic "NGI1" | version u16 | n u16 | freq_threshold u32 |
 # kind u8 (0 text, 1 image) | hashed u8 (0 or 1) | entry count u64 |
 # (key, count u64) entries | kind-specific trailer. All integers are
-# little-endian. A hashed key is a u64; an exact image key is n u32 ids; an
-# exact text key is a u32 byte length, then per token a u32 byte length and
-# its UTF-8. Trailers: image indexes store a u64 count and the exact-sequence
-# keys; hashed text indexes a u64 count and the u64 meaningless-token hashes;
-# exact text indexes nothing, as their keys hold those tokens.
+# little-endian. Every key is its in-memory table key: a hashed key is the
+# u64 FNV-1a; an exact image key is its n u32 ids; an exact text key is a u32
+# byte length, then per token a u32 byte length and its UTF-8. Trailers:
+# image indexes store a u64 count and the exact-sequence keys; hashed text
+# indexes a u64 count and the u64 meaningless-token hashes; exact text
+# indexes nothing, as their keys hold those tokens.
 #
 # Sort orders make files byte-reproducible. Entries and image sequences sort
 # by key bytes (exact text: without the length prefix), so hashed keys sort
 # by little-endian bytes, not by value. Meaningless-token hashes sort by value.
+
+
+def _key_format(hashed: bool, tokens: int) -> str:
+    """struct format of a fixed-width key: a u64 hash, or `tokens` u32 ids."""
+    return "Q" if hashed else f"{4 * tokens}s"
 
 
 def save_index(index, path) -> None:
@@ -374,26 +367,28 @@ def save_index(index, path) -> None:
         kind, freq = _KIND_IMAGE, 0
     else:
         raise CoreliteError(f"cannot serialize {type(index).__name__}")
-    mode = _MODES[kind, index.hashed]
-    length_prefix = mode.width(index.n) is None
 
     out = bytearray(NGI_MAGIC)
     out += struct.pack("<HHIBB", NGI_VERSION, index.n, freq, kind, int(index.hashed))
-    entries = sorted((mode.pack(k), c) for k, c in index.table.items())
-    out += struct.pack("<Q", len(entries))
-    for key_bytes, count in entries:
-        if length_prefix:
-            out += struct.pack("<I", len(key_bytes))
-        out += key_bytes + struct.pack("<Q", count)
+    out += _U64.pack(len(index.table))
+    if kind == _KIND_TEXT and not index.hashed:
+        for key, count in sorted(index.table.items()):
+            out += _U32.pack(len(key)) + key + _U64.pack(count)
+    else:
+        # Fixed-width keys are unique, so whole records sort by key bytes.
+        entry = struct.Struct(f"<{_key_format(index.hashed, index.n)}Q")
+        for record in sorted(starmap(entry.pack, index.table.items())):
+            out += record
 
     if kind == _KIND_IMAGE:
-        trailer = sorted(map(mode.pack, index.exact_sequences))
+        key = struct.Struct(f"<{_key_format(index.hashed, IMAGE_TOKEN_LEN)}")
+        trailer = sorted(map(key.pack, index.exact_sequences))
     elif index.hashed:
-        trailer = [_U64.pack(t) for t in sorted(index.meaningless_tokens)]
+        trailer = list(map(_U64.pack, sorted(index.meaningless_tokens)))
     else:
         trailer = None
     if trailer is not None:
-        out += struct.pack("<Q", len(trailer)) + b"".join(trailer)
+        out += _U64.pack(len(trailer)) + b"".join(trailer)
 
     write_atomic(path, out)
 
@@ -413,34 +408,29 @@ class _Reader:
     def take(self, fmt: str):
         return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
 
-    def table(self, mode: _Mode, n: int) -> dict:
-        """A u64 count, then that many (key, count u64) entries."""
+    def text_table(self, n: int) -> dict:
+        """A u64 count, then that many length-prefixed exact text keys and counts."""
         (count,) = self.take("<Q")
-        width = mode.width(n)
-        if width is None:
-            table = {}
-            raw, unpack = self.raw, mode.unpack
-            for _ in range(count):
-                (size,) = _U32.unpack(raw(4))
-                try:
-                    key = unpack(raw(size))
-                except ValueError as exc:  # includes UnicodeDecodeError
-                    raise CoreliteError(f"{self.path}: bad text key ({exc})") from None
-                if len(key) != n:
-                    raise CoreliteError(
-                        f"{self.path}: text key of {len(key)} tokens, expected {n}"
-                    )
-                (table[key],) = _U64.unpack(raw(8))
-            return table
-        records = struct.iter_unpack(f"<{width}sQ", self.raw(count * (width + 8)))
-        return {mode.unpack(key): c for key, c in records}
+        table = {}
+        raw = self.raw
+        for _ in range(count):
+            key = raw(_U32.unpack(raw(4))[0])
+            try:
+                tokens = len(_split_words(key))
+            except ValueError as exc:  # includes UnicodeDecodeError
+                raise CoreliteError(f"{self.path}: bad text key ({exc})") from None
+            if tokens != n:
+                raise CoreliteError(
+                    f"{self.path}: text key of {tokens} tokens, expected {n}"
+                )
+            (table[key],) = _U64.unpack(raw(8))
+        return table
 
-    def keys(self, mode: _Mode, tokens: int) -> list:
-        """A u64 count, then that many fixed-width keys of `tokens` tokens each."""
+    def records(self, fmt: str):
+        """A u64 count, then that many fixed-width `fmt` records, unpacked."""
         (count,) = self.take("<Q")
-        width = mode.width(tokens)
-        block = self.raw(count * width)
-        return [mode.unpack(k) for (k,) in struct.iter_unpack(f"<{width}s", block)]
+        record = struct.Struct(f"<{fmt}")
+        return record.iter_unpack(self.raw(count * record.size))
 
 
 def load_index(path):
@@ -452,20 +442,25 @@ def load_index(path):
     version, n, freq, kind, hashed = r.take("<HHIBB")
     if version != NGI_VERSION:
         raise CoreliteError(f"{path}: unsupported index version {version}")
-    if (kind, hashed) not in _MODES:
+    if kind not in _MAX_N or hashed not in (0, 1):
         raise CoreliteError(
             f"{path}: unknown index kind {kind} or hashed flag {hashed}"
         )
     _check_n(kind, n, f"{path}: ")
-    mode = _MODES[kind, hashed]
     hashed = bool(hashed)
 
-    table = r.table(mode, n)
-    if kind == _KIND_TEXT:
-        # The hashed-text trailer holds u64 token hashes, read as 1-token keys.
-        index = _text_index(n, freq, hashed, table, lambda _: r.keys(mode, 1))
+    if kind == _KIND_TEXT and not hashed:
+        table = r.text_table(n)
     else:
-        exact = frozenset(r.keys(mode, IMAGE_TOKEN_LEN))
+        table = dict(r.records(f"{_key_format(hashed, n)}Q"))
+    if kind == _KIND_TEXT:
+        # The hashed-text trailer holds the u64 meaningless-token hashes.
+        index = _text_index(
+            n, freq, hashed, table, lambda _: chain.from_iterable(r.records("Q"))
+        )
+    else:
+        key = _key_format(hashed, IMAGE_TOKEN_LEN)
+        exact = frozenset(chain.from_iterable(r.records(key)))
         index = ImageNGramIndex(n=n, hashed=hashed, table=table, exact_sequences=exact)
     if r.off != len(data):
         raise CoreliteError(f"{path}: trailing bytes in index file")

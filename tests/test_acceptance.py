@@ -7,6 +7,7 @@ allocates a 100k x 512 matrix and takes about a minute.
 import json
 import math
 import random
+import struct
 import time
 
 import numpy as np
@@ -32,6 +33,11 @@ from corelite.scoring import aggregate, normalize_score, pearson, spearman
 
 def _ok(n, name):
     print(f"ACCEPTANCE {n} {name}: PASS")
+
+
+def _text_key(tokens):
+    """An exact text n-gram key: per token a u32 byte length, then its UTF-8."""
+    return b"".join(struct.pack("<I", len(t.encode())) + t.encode() for t in tokens)
 
 
 def _emb(data, prefix="p"):
@@ -103,8 +109,8 @@ def test_criterion_4_text_planted_corpus():
     ten = [TextDocument(f"a{i}", "a0 a1 a2 a3 a4 a5 a6 a7") for i in range(10)]
     eleven = [TextDocument(f"b{i}", "b0 b1 b2 b3 b4 b5 b6 b7") for i in range(11)]
     boundary = build_text_index(ten + eleven, freq_threshold=10)
-    assert tuple(f"a{i}" for i in range(8)) not in boundary.meaningless
-    assert tuple(f"b{i}" for i in range(8)) in boundary.meaningless
+    assert _text_key(f"a{i}" for i in range(8)) not in boundary.meaningless
+    assert _text_key(f"b{i}" for i in range(8)) in boundary.meaningless
     _ok(4, "planted corpus: exactly 20.0% overlap, no false positives, 10/11 boundary")
 
 

@@ -392,6 +392,21 @@ class TestErrorLines:
         assert rc == 1
         assert "expected a center_ids list" in self._one_error_line(capsys)
 
+    def test_gap_repeated_instance_id(self, tmp_path, capsys):
+        # Two models' rows for instance "a" would be averaged into one mean.
+        scores = tmp_path / "scores.csv"
+        scores.write_text("model,dataset,score\nm1,a,0\nm1,b,0\nm2,a,100\nm2,b,100\n")
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"center_ids": ["a"]}))
+        rc = main(["gap", "--scores", str(scores), "--selection", str(sel),
+                   "--out", str(tmp_path / "g.json")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("corelite: error: ") and err.count("\n") == 1
+        assert str(scores) in err and "'a'" in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv", "sel.json"]
+
     def test_internal_key_error_is_not_a_data_error(self, tmp_path, monkeypatch):
         def broken(args):
             raise KeyError("bug")

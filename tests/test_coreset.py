@@ -9,9 +9,7 @@ from corelite import CoreliteError
 from corelite.coreset import (
     CoresetSelection,
     brute_force_k_center,
-    concat_embeddings,
     coverage_radius,
-    distance,
     k_center_greedy,
     subset_gap,
 )
@@ -22,6 +20,15 @@ def emb_1d(points, ids=None):
     data = np.asarray(points, dtype=np.float32).reshape(-1, 1)
     ids = ids or tuple(f"p{i}" for i in range(len(points)))
     return EmbeddingMatrix(tuple(ids), data)
+
+
+def distance(a, b) -> float:
+    """Euclidean distance with 64-bit accumulation: the oracle for coverage_radius."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise CoreliteError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 def emb_from(data, ids=None):
@@ -49,37 +56,6 @@ class TestDistance:
         rng = np.random.default_rng(bits)
         b = rng.uniform(-1e3, 1e3, size=len(a))
         assert distance(a, b) == distance(b, a)
-
-
-class TestConcat:
-    def test_output_width(self):
-        img = emb_from([[1.0, 2.0]])
-        txt = emb_from([[1.0, 2.0, 3.0]])
-        assert concat_embeddings(img, txt).d == 5
-
-    def test_unit_norm_prefix(self):
-        img = emb_from([[3.0, 4.0]])
-        txt = emb_from([[1.0]])
-        out = concat_embeddings(img, txt, per_modality_normalize=True)
-        np.testing.assert_allclose(out.data[0, :2], [0.6, 0.8], rtol=1e-6)
-
-    def test_zero_vector_untouched(self):
-        img = emb_from([[3.0, 4.0]])
-        txt = emb_from([[0.0, 0.0]])
-        out = concat_embeddings(img, txt, per_modality_normalize=True)
-        np.testing.assert_array_equal(out.data[0, 2:], [0.0, 0.0])
-
-    def test_id_mismatch_position(self):
-        img = emb_from([[1.0]], ids=("a",))
-        txt = emb_from([[1.0]], ids=("b",))
-        with pytest.raises(CoreliteError, match="position 0"):
-            concat_embeddings(img, txt)
-
-    def test_no_normalize_passthrough(self):
-        img = emb_from([[3.0, 4.0]])
-        txt = emb_from([[5.0]])
-        out = concat_embeddings(img, txt, per_modality_normalize=False)
-        np.testing.assert_array_equal(out.data[0], [3.0, 4.0, 5.0])
 
 
 class TestGreedy:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from corelite.decontam import (
     build_text_index,
     categorize,
     fnv1a64,
-    hash_text_token,
     load_index,
     overlap_ratio,
     save_index,
@@ -36,6 +36,17 @@ def seq(seq_id, tokens):
     return TokenSequence(seq_id, tuple(tokens))
 
 
+def token_key(token):
+    """A text token's NGI1 encoding: u32 byte length, then its UTF-8."""
+    raw = token.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def text_key(tokens):
+    """An exact text n-gram key: its tokens' encodings, in order."""
+    return b"".join(map(token_key, tokens))
+
+
 class TestBuildTextIndex:
     def test_short_document_emits_nothing(self):
         index = build_text_index([doc("a", words(7))])
@@ -51,14 +62,14 @@ class TestBuildTextIndex:
         ten = [doc(f"t{i}", words(8)) for i in range(10)]
         eleven = [doc(f"e{i}", words(8, "x")) for i in range(11)]
         index = build_text_index(ten + eleven, freq_threshold=10)
-        key_ten = tuple(f"w{i}" for i in range(8))
-        key_eleven = tuple(f"x{i}" for i in range(8))
+        key_ten = text_key(f"w{i}" for i in range(8))
+        key_eleven = text_key(f"x{i}" for i in range(8))
         assert index.table[key_ten] == 10
         assert index.table[key_eleven] == 11
         assert key_ten not in index.meaningless
         assert key_eleven in index.meaningless
-        assert "x0" in index.meaningless_tokens
-        assert "w0" not in index.meaningless_tokens
+        assert token_key("x0") in index.meaningless_tokens
+        assert token_key("w0") not in index.meaningless_tokens
 
     def test_order_independence(self):
         docs = [doc(f"d{i}", words(12, f"p{i % 3}")) for i in range(9)]
@@ -83,17 +94,17 @@ class TestBuildTextIndex:
 class TestOverlapRatio:
     def test_empty_meaningless_set(self):
         index = build_text_index([doc("a", words(8))])
-        assert overlap_ratio(tuple(f"w{i}" for i in range(8)), index) == 0.0
+        assert overlap_ratio([token_key(f"w{i}") for i in range(8)], index) == 0.0
 
     def test_all_tokens_meaningless(self):
         train = [doc(f"d{i}", words(8)) for i in range(11)]
         index = build_text_index(train)
-        assert overlap_ratio(tuple(f"w{i}" for i in range(8)), index) == 1.0
+        assert overlap_ratio([token_key(f"w{i}") for i in range(8)], index) == 1.0
 
     def test_six_of_eight(self):
         train = [doc(f"d{i}", "a b c d e f g h") for i in range(11)]
         index = build_text_index(train)
-        assert overlap_ratio(("a", "b", "c", "d", "e", "f", "q", "r"), index) == 0.75
+        assert overlap_ratio(list(map(token_key, "abcdefqr")), index) == 0.75
 
     def test_wrong_length_rejected(self):
         index = build_text_index([])
@@ -256,6 +267,59 @@ class TestHashMode:
         assert exact == hashed
 
 
+class TestKeyInvariant:
+    """An exact key is its NGI1 bytes; a hashed index keys by their FNV-1a."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(["a", "b", "ç", "dé", "x1", "ß"]), max_size=14),
+            max_size=10,
+        ),
+        st.integers(1, 4),
+        st.integers(1, 3),
+    )
+    def test_text(self, corpus, n, freq_threshold):
+        train = [doc(f"t{i}", " ".join(ws)) for i, ws in enumerate(corpus)]
+        exact = build_text_index(train, n=n, freq_threshold=freq_threshold)
+        hashed = build_text_index(
+            train, n=n, freq_threshold=freq_threshold, hashed=True
+        )
+        windows = Counter(
+            text_key(tokens[i : i + n])
+            for tokens in (tokenize_text(d.text) for d in train)
+            for i in range(len(tokens) - n + 1)
+        )
+        assert exact.table == windows
+        assert hashed.table == {fnv1a64(k): c for k, c in exact.table.items()}
+        assert hashed.meaningless == {fnv1a64(k) for k in exact.meaningless}
+        assert hashed.meaningless_tokens == {
+            fnv1a64(t) for t in exact.meaningless_tokens
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0, 1, 2, 2**32 - 1]), min_size=32, max_size=32),
+            max_size=8,
+        ),
+        st.integers(1, 32),
+    )
+    def test_image(self, corpus, n):
+        train = [seq(f"i{i}", tokens) for i, tokens in enumerate(corpus)]
+        exact = build_image_index(train, n=n)
+        hashed = build_image_index(train, n=n, hashed=True)
+        windows = Counter(
+            struct.pack(f"<{n}I", *tokens[i : i + n])
+            for tokens in corpus
+            for i in range(32 - n + 1)
+        )
+        assert exact.table == windows
+        assert hashed.table == {fnv1a64(k): c for k, c in exact.table.items()}
+        assert exact.exact_sequences == {struct.pack("<32I", *t) for t in corpus}
+        assert hashed.exact_sequences == {fnv1a64(k) for k in exact.exact_sequences}
+
+
 class TestSerialization:
     def _text_index(self, hashed=False):
         train = [doc(f"t{i}", words(12, f"g{i % 3}")) for i in range(40)]
@@ -397,7 +461,7 @@ class TestGoldenNGI1:
         # The boilerplate's 11 distinct words, plus "item", which follows it
         # in every document.
         expected = tokenize_text(GOLDEN_BOILER) + ["item"]
-        assert tokens == {hash_text_token(t) for t in expected}
+        assert tokens == {fnv1a64(token_key(t)) for t in expected}
         assert len(tokens) == 12
         by_value = sorted(tokens)
         by_bytes = sorted(tokens, key=lambda t: struct.pack("<Q", t))

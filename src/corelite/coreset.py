@@ -67,9 +67,16 @@ def normalize_rows(block: np.ndarray) -> np.ndarray:
 
     Zero rows are left untouched.
     """
-    norms = np.linalg.norm(block.astype(np.float64), axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return (block / safe).astype(np.float32)
+    norms = np.sqrt(np.square(block, dtype=np.float64).sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    return np.divide(block, norms, out=np.empty(block.shape, np.float32))
+
+
+def _check_k(n: int, k: int) -> None:
+    if n == 0:
+        raise CoreliteError("cannot select from an empty matrix")
+    if not 1 <= k <= n:
+        raise CoreliteError(f"k must be in 1..{n}, got {k}")
 
 
 def _min_center_dists(
@@ -98,11 +105,7 @@ def k_center_greedy(
     already spreads each distance GEMV over the available cores.
     """
     n = emb.n
-    if n == 0:
-        raise CoreliteError("cannot select from an empty matrix")
-    if not 1 <= k <= n:
-        raise CoreliteError(f"k must be in 1..{n}, got {k}")
-
+    _check_k(n, k)
     X = np.ascontiguousarray(emb.data, dtype=np.float64)
     sq_norms = np.einsum("ij,ij->i", X, X)
 
@@ -113,24 +116,22 @@ def k_center_greedy(
             raise CoreliteError(f"first_center out of range: {first_center}")
         first = first_center
 
+    # min_dist holds each point's distance to its nearest center, and -inf
+    # at the centers themselves (np.minimum keeps it), so argmax never picks
+    # a center twice.
     centers = [first]
     min_dist = _min_center_dists(X, sq_norms, X[first])
-    min_dist[first] = 0.0  # a center is exactly at distance 0 from itself
-    selected = np.zeros(n, dtype=bool)
-    selected[first] = True
-
+    min_dist[first] = -np.inf
     for _ in range(k - 1):
-        # argmax over unselected points; np.argmax takes the first (lowest
-        # index) maximum, which is the tie rule.
-        u = int(np.argmax(np.where(selected, -1.0, min_dist)))
+        # np.argmax takes the first (lowest index) maximum: the tie rule.
+        u = int(np.argmax(min_dist))
         centers.append(u)
-        selected[u] = True
         np.minimum(min_dist, _min_center_dists(X, sq_norms, X[u]), out=min_dist)
-        min_dist[u] = 0.0
+        min_dist[u] = -np.inf
 
     return CoresetSelection(
         center_indices=tuple(centers),
-        coverage_radius=float(min_dist.max()),
+        coverage_radius=max(float(min_dist.max()), 0.0),  # 0.0 when k == n
         k=k,
         seed=seed,
     )
@@ -163,11 +164,7 @@ def brute_force_k_center(emb: EmbeddingMatrix, k: int) -> CoresetSelection:
     n = emb.n
     if n > 16:
         raise CoreliteError("oracle limited to n ≤ 16")
-    if n == 0:
-        raise CoreliteError("cannot select from an empty matrix")
-    if not 1 <= k <= n:
-        raise CoreliteError(f"k must be in 1..{n}, got {k}")
-
+    _check_k(n, k)
     X = np.ascontiguousarray(emb.data, dtype=np.float64)
     diff = X[:, None, :] - X[None, :, :]
     D = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

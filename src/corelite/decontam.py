@@ -16,6 +16,7 @@ load run one body for both modes.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -59,12 +60,15 @@ def _text_token_bytes(token: str) -> bytes:
     return _U32.pack(len(raw)) + raw
 
 
-class _TokenBytes(dict):
-    """Text token -> its NGI1 encoding, each distinct token encoded once."""
+class _Memo(dict):
+    """x -> f(x), computed once per distinct x: per-call token encodings and hashes."""
 
-    def __missing__(self, token: str) -> bytes:
-        self[token] = encoded = _text_token_bytes(token)
-        return encoded
+    def __init__(self, f: Callable):
+        self.f = f
+
+    def __missing__(self, x):
+        self[x] = y = self.f(x)
+        return y
 
 
 def _split_words(key: bytes) -> list[bytes]:
@@ -88,9 +92,9 @@ def hash_text_ngram(tokens) -> int:
     return fnv1a64(b"".join(map(_text_token_bytes, tokens)))
 
 
-def _keys(encodings, hashed: bool):
+def _keys(encodings, hashed: bool, hasher: Callable = fnv1a64):
     """Table keys of NGI1 encodings: the bytes themselves, or their FNV-1a."""
-    return map(fnv1a64, encodings) if hashed else encodings
+    return map(hasher, encodings) if hashed else encodings
 
 
 def _check_n(kind: int, n: int, where: str = "") -> None:
@@ -220,7 +224,9 @@ def build_text_index(
     _check_n(_KIND_TEXT, n)
     if freq_threshold < 1:
         raise CoreliteError("freq_threshold must be at least 1")
-    encode = _TokenBytes().__getitem__
+    if freq_threshold > 0xFFFFFFFF:  # NGI1 stores it as a u32
+        raise CoreliteError("freq_threshold must be in 1..4294967295")
+    encode = _Memo(_text_token_bytes).__getitem__
 
     table: Counter = Counter()
     for doc in train:
@@ -266,21 +272,27 @@ def scan_text(
     """Flag benchmark documents sharing a qualifying n-gram with training data.
 
     A window qualifies when it is present in the training table, is not
-    itself meaningless, and has overlap ratio below `ratio_threshold`.
+    itself meaningless, and has overlap ratio below `ratio_threshold`; a
+    threshold above 1 turns the ratio filter off.
     """
-    encode = _TokenBytes().__getitem__
+    if math.isnan(ratio_threshold):
+        raise CoreliteError("ratio_threshold must not be NaN")
+    encode = _Memo(_text_token_bytes).__getitem__
+    # Hashed token keys are needed only for windows that hit the table, and a
+    # leaked document's tokens sit in up to n of them: hash each one once.
+    token_hash = _Memo(fnv1a64).__getitem__
     per_instance: dict[str, InstanceOverlap] = {}
     hit_count = 0
     for doc in bench:
         encoded = list(map(encode, tokenize_text(doc.text)))
-        token_keys = list(_keys(encoded, index.hashed))
         keys = _keys(_text_windows(encoded, index.n), index.hashed)
 
         matched = 0
         for pos, key in enumerate(keys):
             if key not in index.table or key in index.meaningless:
                 continue
-            window_keys = token_keys[pos : pos + index.n]
+            window = encoded[pos : pos + index.n]
+            window_keys = list(_keys(window, index.hashed, token_hash))
             if overlap_ratio(window_keys, index) < ratio_threshold:
                 matched += 1
         text_hit = matched > 0

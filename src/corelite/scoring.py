@@ -84,29 +84,23 @@ def aggregate(
     if not scores.entries:
         raise CoreliteError("score table is empty")
 
+    weighted = weighting == "instance_weighted"
     per_model: dict[str, float] = {}
     for model in scores.models():
-        datasets = sorted(d for m, d in scores.entries if m == model)
-        normalized = []
-        weights = []
-        for dataset in datasets:
-            raw = scores.entries[(model, dataset)]
-            normalized.append(
-                normalize_score(raw, resolve_scale(scales, dataset, raw))
-            )
-            if weighting == "instance_weighted":
-                key = (model, dataset)
-                if key not in scores.counts:
-                    raise CoreliteError(
-                        f"instance-weighted aggregation needs a count for {key}"
-                    )
-                weights.append(scores.counts[key])
-        if weighting == "instance_weighted":
-            total = sum(weights)
-            value = sum(w * v for w, v in zip(weights, normalized)) / total
-        else:
-            value = sum(normalized) / len(normalized)
-        per_model[model] = value
+        # The unweighted mean is the weighted one with every weight 1.
+        total = weight_sum = 0
+        for dataset in sorted(d for m, d in scores.entries if m == model):
+            key = (model, dataset)
+            raw = scores.entries[key]
+            value = normalize_score(raw, resolve_scale(scales, dataset, raw))
+            if weighted and key not in scores.counts:
+                raise CoreliteError(
+                    f"instance-weighted aggregation needs a count for {key}"
+                )
+            weight = scores.counts[key] if weighted else 1
+            total += weight * value
+            weight_sum += weight
+        per_model[model] = total / weight_sum
     return AggregateResult(per_model, weighting)
 
 
@@ -128,25 +122,16 @@ def pearson(x, y) -> float:
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties assigned the mean of their rank range."""
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    sorted_v = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j < v.size and sorted_v[j] == sorted_v[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0
-        i = j
-    return ranks
+    # A run of equal values ending at sorted position j (1-based) covers
+    # ranks j - count + 1 .. j, whose mean is j - (count - 1) / 2.
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x, y) -> float:
     """Rank correlation: pearson over average-ranked data."""
     x = np.asarray(list(x), dtype=np.float64)
     y = np.asarray(list(y), dtype=np.float64)
-    if x.shape != y.shape:
-        raise CoreliteError(f"length mismatch: {x.size} vs {y.size}")
     return pearson(_average_ranks(x), _average_ranks(y))
 
 

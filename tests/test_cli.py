@@ -359,6 +359,31 @@ class TestErrorLines:
         assert rc == 1
         assert "JSON object" in self._one_error_line(capsys)
 
+    def test_freq_threshold_beyond_u32(self, tmp_path, capsys):
+        # NGI1 stores freq_threshold as a u32.
+        train = write_jsonl(tmp_path / "train.jsonl", [{"id": "a", "text": "w " * 9}])
+        out = tmp_path / "i"
+        rc = main(["index-text", "--train", str(train), "--freq-threshold",
+                   "5000000000", "--out", str(out)])
+        assert rc == 1
+        assert "freq_threshold must be in 1..4294967295" in self._one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl"]
+
+    def test_nan_ratio_threshold(self, tmp_path, capsys):
+        body = " ".join(f"w{j}" for j in range(10))
+        train = write_jsonl(tmp_path / "train.jsonl", [{"id": "t", "text": body}])
+        bench = write_jsonl(tmp_path / "bench.jsonl", [{"id": "b", "text": body}])
+        idx = tmp_path / "idx.bin"
+        assert main(["index-text", "--train", str(train), "--out", str(idx)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        rc = main(["scan-text", "--index", str(idx), "--bench", str(bench),
+                   "--ratio-threshold", "nan", "--report", str(report)])
+        assert rc == 1
+        assert "ratio_threshold must not be NaN" in self._one_error_line(capsys)
+        assert not report.exists()
+        assert not (tmp_path / "r.json.manifest.json").exists()
+
     def test_scales_infinite_bounds(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("model,dataset,score\nm1,d,40.0\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from corelite import CoreliteError
 from corelite.coreset import (
@@ -11,6 +12,7 @@ from corelite.coreset import (
     brute_force_k_center,
     coverage_radius,
     k_center_greedy,
+    normalize_rows,
     subset_gap,
 )
 from corelite.corpus import EmbeddingMatrix
@@ -35,6 +37,36 @@ def emb_from(data, ids=None):
     data = np.asarray(data, dtype=np.float32)
     ids = ids or tuple(f"p{i}" for i in range(data.shape[0]))
     return EmbeddingMatrix(tuple(ids), data)
+
+
+def normalize_rows_oracle(block):
+    """Whole-matrix float64 formula: the oracle for normalize_rows."""
+    norms = np.linalg.norm(block.astype(np.float64), axis=1, keepdims=True)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    return (block / safe).astype(np.float32)
+
+
+class TestNormalizeRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float32,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+        ),
+        st.data(),
+    )
+    def test_matches_float64_formula(self, block, data):
+        rows = len(block)
+        zero = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        block[np.asarray(zero, dtype=bool)] = 0.0
+        out = normalize_rows(block)
+        assert out.dtype == np.float32 and out.shape == block.shape
+        assert out.tobytes() == normalize_rows_oracle(block).tobytes()
+
+    def test_zero_row_untouched_and_unit_norms(self):
+        out = normalize_rows(np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32))
+        assert out.tolist() == [[0.0, 0.0], [0.6000000238418579, 0.800000011920929]]
 
 
 class TestDistance:
@@ -92,6 +124,13 @@ class TestGreedy:
         # From center 0, points 1 and 2 are both at distance 5.
         sel = k_center_greedy(emb_1d([0.0, 5.0, -5.0]), k=2, first_center=0)
         assert sel.center_indices == (0, 1)
+
+    def test_duplicate_points_never_picked_twice(self):
+        # After centers 0 and 2 every point is at distance 0; a center must
+        # not win that tie again.
+        sel = k_center_greedy(emb_1d([0.0, 0.0, 5.0, 5.0]), k=4, first_center=0)
+        assert sel.center_indices == (0, 2, 1, 3)
+        assert sel.coverage_radius == 0.0
 
     def test_determinism_across_workers(self):
         rng = np.random.default_rng(7)

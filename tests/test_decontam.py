@@ -142,6 +142,13 @@ class TestScanText:
         report = scan_text([doc("b", boiler)], index)
         assert report.per_instance["b"].text_hit is False
 
+    def test_nan_ratio_threshold_rejected(self):
+        # Every comparison with NaN is false, so a verbatim copy would pass as clean.
+        body = "alpha beta gamma delta epsilon zeta eta theta iota"
+        index = build_text_index([doc("t", body)])
+        with pytest.raises(CoreliteError, match="ratio_threshold must not be NaN"):
+            scan_text([doc("b", body)], index, ratio_threshold=float("nan"))
+
     def test_threshold_monotonicity(self):
         boiler = "m0 m1 m2 m3 m4 m5 m6 m7"
         mixed = "m0 m1 m2 m3 m4 m5 q0 q1"  # 6 of 8 tokens meaningless

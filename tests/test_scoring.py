@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from corelite import CoreliteError
 from corelite.corpus import ScaleSpec, ScoreTable
 from corelite.scoring import (
+    _average_ranks,
     aggregate,
     correlate_lite,
     load_scales,
@@ -27,6 +28,21 @@ def pearson_oracle(x, y):
     sxx = sum((a - mx) ** 2 for a in x)
     syy = sum((b - my) ** 2 for b in y)
     return sxy / math.sqrt(sxx * syy)
+
+
+def average_ranks_oracle(v):
+    """Tie-averaged ranks by a scan over the sorted values; the _average_ranks oracle."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    sorted_v = v[order]
+    i = 0
+    while i < v.size:
+        j = i
+        while j < v.size and sorted_v[j] == sorted_v[i]:
+            j += 1
+        ranks[order[i:j]] = (i + j + 1) / 2.0
+        i = j
+    return ranks
 
 
 class TestNormalize:
@@ -114,6 +130,31 @@ class TestAggregate:
             == aggregate(without, ScaleSpec({})).per_model
         )
 
+    @given(
+        st.dictionaries(
+            st.tuples(st.sampled_from("xyz"), st.sampled_from("abcde")),
+            st.tuples(st.floats(0.0, 100.0), st.integers(1, 10**6)),
+            min_size=1,
+        ),
+        st.booleans(),
+    )
+    def test_matches_per_weighting_formulas(self, rows, weighted):
+        table = self._table(
+            {key: raw for key, (raw, _) in rows.items()},
+            {key: count for key, (_, count) in rows.items()},
+        )
+        weighting = "instance_weighted" if weighted else "unweighted"
+        result = aggregate(table, ScaleSpec({}), weighting=weighting)
+        for model, value in result.per_model.items():
+            keys = sorted(key for key in rows if key[0] == model)
+            scores = [normalize_score(rows[key][0], (0.0, 100.0)) for key in keys]
+            if weighted:
+                counts = [rows[key][1] for key in keys]
+                expected = sum(w * v for w, v in zip(counts, scores)) / sum(counts)
+            else:
+                expected = sum(scores) / len(scores)
+            assert value == expected  # bit for bit: same additions, same order
+
     def test_output_in_range(self):
         table = self._table(
             {("m1", "mme"): 1841.8, ("m1", "ai2d"): 66.6, ("m2", "ai2d"): 0.0}
@@ -185,6 +226,14 @@ class TestSpearman:
         # x ranks (1.5, 1.5, 3); equal inputs correlate exactly.
         assert spearman([5, 5, 9], [5, 5, 9]) == pytest.approx(1.0)
 
+    @given(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 1.0, 3.5]), max_size=30))
+    def test_average_ranks_match_oracle(self, values):
+        v = np.asarray(values, dtype=np.float64)
+        assert _average_ranks(v).tobytes() == average_ranks_oracle(v).tobytes()
+
+    def test_signed_zeros_tie(self):
+        assert _average_ranks(np.array([0.0, -0.0, 1.0])).tolist() == [1.5, 1.5, 3.0]
+
     @given(st.integers(0, 2**32 - 1))
     def test_monotone_transform_invariance(self, bits):
         rng = np.random.default_rng(bits)
@@ -241,6 +290,15 @@ class TestCorrelateLite:
         result = correlate_lite(full, lite)
         assert result.per_dataset["a"] is None
         assert "shared model" in result.undefined_reason["a"]
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_constant_lite_scores_undefined(self, method):
+        full = ScoreTable({("m1", "a"): 10.0, ("m2", "a"): 20.0, ("m3", "a"): 30.0})
+        lite = ScoreTable({("m1", "a"): 50.0, ("m2", "a"): 50.0, ("m3", "a"): 50.0})
+        result = correlate_lite(full, lite, method=method)
+        assert result.per_dataset["a"] is None
+        assert "constant input" in result.undefined_reason["a"]
+        assert result.sample_count["a"] == 3
 
     def test_models_sorted_lexicographically(self):
         full, lite = self._tables()

@@ -92,9 +92,9 @@ def hash_text_ngram(tokens) -> int:
     return fnv1a64(b"".join(map(_text_token_bytes, tokens)))
 
 
-def _keys(encodings, hashed: bool, hasher: Callable = fnv1a64):
+def _keys(encodings, hashed: bool):
     """Table keys of NGI1 encodings: the bytes themselves, or their FNV-1a."""
-    return map(hasher, encodings) if hashed else encodings
+    return map(fnv1a64, encodings) if hashed else encodings
 
 
 def _check_n(kind: int, n: int, where: str = "") -> None:
@@ -292,7 +292,7 @@ def scan_text(
             if key not in index.table or key in index.meaningless:
                 continue
             window = encoded[pos : pos + index.n]
-            window_keys = list(_keys(window, index.hashed, token_hash))
+            window_keys = list(map(token_hash, window)) if index.hashed else window
             if overlap_ratio(window_keys, index) < ratio_threshold:
                 matched += 1
         text_hit = matched > 0

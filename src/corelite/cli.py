@@ -5,6 +5,9 @@ parameters and input paths; `main` then writes the run manifest (parameters,
 input digests, tool version) next to the output, so identical inputs
 reproduce byte-identical outputs. Every file is written atomically.
 
+Only `select`, `gap`, `aggregate` and `correlate` import `coreset` and
+`scoring`, and with them numpy; the n-gram commands start without it.
+
 Exit codes: 0 success, 1 data/content error, 2 usage error.
 """
 
@@ -16,7 +19,7 @@ import json
 import sys
 
 from . import CoreliteError, __version__
-from . import coreset, decontam, scoring
+from . import decontam
 from .corpus import (
     EmbeddingMatrix,
     ScaleSpec,
@@ -24,6 +27,7 @@ from .corpus import (
     load_scores,
     load_text_corpus,
     load_token_corpus,
+    read_json,
     write_atomic,
 )
 
@@ -64,6 +68,8 @@ def _report_to_json(report: decontam.OverlapReport) -> dict:
 
 
 def cmd_select(args) -> tuple[dict, dict]:
+    from . import coreset
+
     emb = load_embeddings(args.embeddings, args.ids)
     k = args.k
     if k is None:
@@ -89,6 +95,8 @@ def cmd_select(args) -> tuple[dict, dict]:
 
 
 def cmd_gap(args) -> tuple[dict, dict]:
+    from . import coreset
+
     # One model's per-instance scores in file order: the dataset column holds
     # the instance id, so an id seen twice means rows of several models.
     scores = load_scores(args.scores).entries
@@ -101,8 +109,7 @@ def cmd_gap(args) -> tuple[dict, dict]:
                 " gap takes one model's per-instance scores"
             )
         positions[inst_id] = i
-    with open(args.selection, encoding="utf-8") as fh:
-        sel = json.load(fh)
+    sel = read_json(args.selection)
     center_ids = sel.get("center_ids") if isinstance(sel, dict) else None
     if not isinstance(center_ids, list) or not all(
         isinstance(i, str) for i in center_ids
@@ -173,6 +180,8 @@ def cmd_scan_image(args) -> tuple[dict, dict]:
 
 
 def cmd_aggregate(args) -> tuple[dict, dict]:
+    from . import scoring
+
     scores = load_scores(args.scores)
     scales = scoring.load_scales(args.scales) if args.scales else ScaleSpec({})
     weighting = "instance_weighted" if args.weighted else "unweighted"
@@ -191,6 +200,8 @@ def cmd_aggregate(args) -> tuple[dict, dict]:
 
 
 def cmd_correlate(args) -> tuple[dict, dict]:
+    from . import scoring
+
     full = load_scores(args.full)
     lite = load_scores(args.lite)
     result = scoring.correlate_lite(full, lite, method=args.method)

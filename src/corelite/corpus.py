@@ -1,7 +1,8 @@
 """Data model and ingestion: text documents, image-token sequences, embeddings, scores.
 
 All loaded structures are immutable after construction and safe to share
-read-only across threads.
+read-only across threads. numpy is imported only by the embedding code, when
+it runs, so the n-gram commands start without it.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import CoreliteError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EMB_MAGIC = b"EMB1"
 IMAGE_TOKEN_LEN = 32
@@ -65,6 +68,8 @@ class EmbeddingMatrix:
     data: np.ndarray  # float32, shape (n, d)
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if arr.ndim != 2:
             raise CoreliteError("embedding data must be 2-D")
@@ -147,6 +152,15 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def read_json(path):
+    """Parse a JSON file; nesting too deep for the parser names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise CoreliteError(f"{path}: JSON nested too deeply") from None
+
+
 def _jsonl_records(path, field_name: str):
     """Yield (line number, id, record[field_name]) for each JSONL record, in file order.
 
@@ -169,6 +183,8 @@ def _jsonl_records(path, field_name: str):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CoreliteError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError:
+                raise CoreliteError(f"line {lineno}: JSON nested too deeply") from None
             if not isinstance(rec, dict):
                 raise CoreliteError(f"line {lineno}: expected a JSON object")
             for name in ("id", field_name):
@@ -211,6 +227,8 @@ def load_token_corpus(path) -> list[TokenSequence]:
 
 def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
     """Read the EMB1 binary matrix plus its sidecar ids file."""
+    import numpy as np
+
     raw = Path(data_path).read_bytes()
     if raw[:4] != EMB_MAGIC:
         raise CoreliteError(f"{data_path}: bad magic, expected {EMB_MAGIC!r}")
@@ -239,10 +257,21 @@ def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
 
 def save_embeddings(matrix: EmbeddingMatrix, data_path, ids_path) -> None:
     """Write the EMB1 binary matrix and sidecar ids file (one id per line, LF)."""
+    import numpy as np
+
     out = bytearray(EMB_MAGIC + struct.pack("<II", matrix.n, matrix.d))
     out += memoryview(np.ascontiguousarray(matrix.data, dtype="<f4"))
     write_atomic(data_path, out)
     write_atomic(ids_path, "".join(f"{i}\n" for i in matrix.ids).encode("utf-8"))
+
+
+def _csv_rows(path, fh):
+    """The CSV rows of an open file; a row the reader rejects names its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise CoreliteError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def load_scores(path) -> ScoreTable:
@@ -250,9 +279,9 @@ def load_scores(path) -> ScoreTable:
     entries: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        rows = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise CoreliteError(f"{path}: empty file, expected a header") from None
         if header[:3] != ["model", "dataset", "score"]:
@@ -260,7 +289,7 @@ def load_scores(path) -> ScoreTable:
                 f"{path}: header must start with model,dataset,score"
             )
         has_count = len(header) > 3 and header[3] == "count"
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) < 3:

@@ -411,9 +411,12 @@ class _Reader:
         self.off = len(NGI_MAGIC)
         self.path = path
 
+    def truncated(self) -> CoreliteError:
+        return CoreliteError(f"{self.path}: truncated index file")
+
     def raw(self, size: int) -> bytes:
         if self.off + size > len(self.data):
-            raise CoreliteError(f"{self.path}: truncated index file")
+            raise self.truncated()
         self.off += size
         return self.data[self.off - size : self.off]
 
@@ -421,22 +424,51 @@ class _Reader:
         return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
 
     def text_table(self, n: int) -> dict:
-        """A u64 count, then that many length-prefixed exact text keys and counts."""
+        """A u64 count, then that many length-prefixed exact text keys and counts.
+
+        A key whose n token lengths step exactly to its end and whose bytes,
+        length prefixes included, are all ASCII is valid as it stands. Any
+        other key (a fault, a multi-byte token, a length byte of 0x80 or
+        more) goes through `_split_words`, which checks each token and names
+        the fault.
+        """
         (count,) = self.take("<Q")
+        data, off, size = self.data, self.off, len(self.data)
+        u32, u64 = _U32.unpack_from, _U64.unpack_from
+        steps = range(n)
         table = {}
-        raw = self.raw
         for _ in range(count):
-            key = raw(_U32.unpack(raw(4))[0])
+            if off + 4 > size:
+                raise self.truncated()
+            start = off + 4
+            off = start + u32(data, off)[0]
+            if off > size:
+                raise self.truncated()
+            key = data[start:off]
+            pos = 0
             try:
-                tokens = len(_split_words(key))
-            except ValueError as exc:  # includes UnicodeDecodeError
-                raise CoreliteError(f"{self.path}: bad text key ({exc})") from None
-            if tokens != n:
-                raise CoreliteError(
-                    f"{self.path}: text key of {tokens} tokens, expected {n}"
-                )
-            (table[key],) = _U64.unpack(raw(8))
+                for _ in steps:
+                    pos += 4 + u32(key, pos)[0]
+            except struct.error:  # a length cut short at the key's end
+                pos = -1
+            if pos != len(key) or not key.isascii():
+                self.check_text_key(key, n)
+            if off + 8 > size:
+                raise self.truncated()
+            (table[key],) = u64(data, off)
+            off += 8
+        self.off = off
         return table
+
+    def check_text_key(self, key: bytes, n: int) -> None:
+        try:
+            tokens = len(_split_words(key))
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise CoreliteError(f"{self.path}: bad text key ({exc})") from None
+        if tokens != n:
+            raise CoreliteError(
+                f"{self.path}: text key of {tokens} tokens, expected {n}"
+            )
 
     def records(self, fmt: str):
         """A u64 count, then that many fixed-width `fmt` records, unpacked."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -10,15 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import CoreliteError
-from .corpus import ScaleSpec, ScoreTable
+from .corpus import ScaleSpec, ScoreTable, read_json
 
 DEFAULT_SCALE = (0.0, 100.0)
 
 
 def load_scales(path) -> ScaleSpec:
     """Read a {"<dataset>": {"min": ..., "max": ...}} JSON config."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise CoreliteError(f"{path}: expected a JSON object of dataset scales")
     scales: dict[str, tuple[float, float]] = {}

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +435,66 @@ class TestErrorLines:
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv", "sel.json"]
 
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    def _fails_cleanly(self, tmp_path, capsys, argv, inputs):
+        """Exit 1, one error line, and no file written beside the inputs."""
+        assert main(argv) == 1
+        err = self._one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+        return err
+
+    @pytest.mark.parametrize("command", ["index-text", "index-image"])
+    def test_jsonl_nested_too_deeply(self, tmp_path, capsys, command):
+        train = tmp_path / "train.jsonl"
+        ok = {"id": "a", "text": "ok", "tokens": list(range(32))}
+        train.write_text(json.dumps(ok) + "\n" + self.DEEP + "\n")
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            [command, "--train", str(train), "--out", str(tmp_path / "i")],
+            ["train.jsonl"],
+        )
+        assert "line 2: JSON nested too deeply" in err
+
+    def test_selection_nested_too_deeply(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("model,dataset,score\nm,a,1.0\n")
+        sel = tmp_path / "sel.json"
+        sel.write_text(self.DEEP)
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["gap", "--scores", str(scores), "--selection", str(sel),
+             "--out", str(tmp_path / "g.json")],
+            ["scores.csv", "sel.json"],
+        )
+        assert f"{sel}: JSON nested too deeply" in err
+
+    def test_scales_nested_too_deeply(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,dataset,score\nm1,a,40.0\n")
+        scales = tmp_path / "scales.json"
+        scales.write_text(self.DEEP)
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["aggregate", "--scores", str(scores), "--scales", str(scales),
+             "--out", str(tmp_path / "agg.json")],
+            ["s.csv", "scales.json"],
+        )
+        assert f"{scales}: JSON nested too deeply" in err
+
+    @pytest.mark.parametrize("row", [0, 2], ids=["header", "score-row"])
+    def test_score_field_over_csv_limit(self, tmp_path, capsys, row):
+        lines = ["model,dataset,score", "m1,a,40.0", "m1,b,50.0"]
+        lines[row] += "," + "x" * 200_000
+        scores = tmp_path / "s.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["aggregate", "--scores", str(scores), "--out", str(tmp_path / "agg.json")],
+            ["s.csv"],
+        )
+        assert f"{scores}: line {row + 1}: field larger than field limit" in err
+
     def test_internal_key_error_is_not_a_data_error(self, tmp_path, monkeypatch):
         def broken(args):
             raise KeyError("bug")
@@ -439,6 +502,67 @@ class TestErrorLines:
         monkeypatch.setattr("corelite.cli.cmd_gap", broken)
         with pytest.raises(KeyError):
             main(["gap", "--scores", "s", "--selection", "x", "--out", "o"])
+
+
+# Runs corelite.cli.main in-process for each argv of a JSON list and writes,
+# for each run, whether numpy had been imported by its end.
+_IMPORT_PROBE = """
+import json, sys
+from corelite.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 0, argv
+    seen.append([argv[0], "numpy" in sys.modules])
+with open(sys.argv[2], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def _import_probe(cwd, runs):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    result = cwd / "imports.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs), str(result)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(result.read_text())
+
+
+class TestNumpyStaysOut:
+    """The n-gram commands and --version start without numpy; select needs it."""
+
+    def test_ngram_commands(self, tmp_path):
+        write_jsonl(tmp_path / "t.jsonl",
+                    [{"id": f"t{i}", "text": f"w{i} " + "a b c d e f g h i"}
+                     for i in range(12)])
+        write_jsonl(tmp_path / "img.jsonl",
+                    [{"id": f"i{i}", "tokens": [i + j for j in range(32)]}
+                     for i in range(3)])
+        runs = [["--version"]]
+        for flag in ([], ["--hashed"]):
+            runs += [
+                ["index-text", "--train", "t.jsonl", "--out", "t.idx", *flag],
+                ["scan-text", "--index", "t.idx", "--bench", "t.jsonl",
+                 "--report", "t.json"],
+                ["index-image", "--train", "img.jsonl", "--out", "i.idx", *flag],
+                ["scan-image", "--index", "i.idx", "--bench", "img.jsonl",
+                 "--report", "i.json"],
+            ]
+        assert _import_probe(tmp_path, runs) == [[argv[0], False] for argv in runs]
+
+    def test_select_imports_numpy(self, tmp_path, emb_files):
+        data_path, ids_path = emb_files
+        runs = [["select", "--embeddings", str(data_path), "--ids", str(ids_path),
+                 "--k", "3", "--out", "sel.json"]]
+        assert _import_probe(tmp_path, runs) == [["select", True]]
 
 
 def _golden_inputs(root):

@@ -2,6 +2,7 @@ import hashlib
 import random
 import struct
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from corelite.corpus import TextDocument, TokenSequence, tokenize_text
 from corelite.decontam import (
     ContaminationCategory,
     NGI_MAGIC,
+    _Reader,
+    _split_words,
     build_image_index,
     build_text_index,
     categorize,
@@ -418,6 +421,118 @@ class TestForgedHeaders:
         with pytest.raises(CoreliteError, match=message) as exc:
             load_index(path)
         assert str(path) in str(exc.value)
+
+
+def text_table_oracle(self, n):
+    """The per-key `_split_words` loop that `_Reader.text_table` replaced."""
+    (count,) = self.take("<Q")
+    table = {}
+    raw = self.raw
+    for _ in range(count):
+        key = raw(struct.unpack("<I", raw(4))[0])
+        try:
+            tokens = len(_split_words(key))
+        except ValueError as exc:
+            raise CoreliteError(f"{self.path}: bad text key ({exc})") from None
+        if tokens != n:
+            raise CoreliteError(
+                f"{self.path}: text key of {tokens} tokens, expected {n}"
+            )
+        (table[key],) = struct.unpack("<Q", raw(8))
+    return table
+
+
+def _load_outcome(path, text_table):
+    """load_index's result fields, or its error message, with `text_table`."""
+    with mock.patch.object(_Reader, "text_table", text_table):
+        try:
+            index = load_index(path)
+        except CoreliteError as exc:
+            return "error", str(exc)
+    return "ok", (index.n, index.freq_threshold, index.table, index.meaningless,
+                  index.meaningless_tokens)
+
+
+# Short ASCII and non-ASCII tokens, the empty token, and tokens of 128 bytes
+# or more (whose length prefix holds a byte of 0x80 or more, or not).
+_TOKENS = st.one_of(
+    st.text(max_size=6),
+    st.text(st.characters(max_codepoint=0x7F), max_size=4),
+    st.builds(lambda c, k: c * k, st.characters(codec="utf-8"),
+              st.integers(120, 300)),
+)
+_KEY_FAULTS = ("cut-length", "past-key", "extra-token", "missing-token", "bad-utf8")
+_FAULTS = ("none", "trailing-bytes", "flip-byte", "truncate",
+           "bad-key-then-truncated", *_KEY_FAULTS)
+
+
+@pytest.fixture(scope="module")
+def ngi_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ngi")
+
+
+class TestFastTextReader:
+    """`_Reader.text_table` against the per-key `_split_words` oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_split_words_oracle(self, ngi_dir, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        grams = data.draw(st.lists(st.lists(_TOKENS, min_size=n, max_size=n),
+                                   min_size=1, max_size=6), label="grams")
+        keys = [[token_key(t) for t in gram] for gram in grams]
+        counts = data.draw(st.lists(st.integers(1, 20), min_size=len(keys),
+                                    max_size=len(keys)), label="counts")
+        fault = data.draw(st.sampled_from(_FAULTS), label="fault")
+        bad = data.draw(st.integers(0, len(keys) - 1), label="bad key")
+        parts = keys[bad]
+        if fault in ("cut-length", "bad-key-then-truncated"):
+            parts.append(data.draw(st.binary(min_size=1, max_size=3)))
+        elif fault == "past-key":
+            j = data.draw(st.integers(0, n - 1))
+            size = len(parts[j]) - 4 + data.draw(st.sampled_from([1, 3, 200, 2**31]))
+            parts[j] = struct.pack("<I", min(size, 2**32 - 1)) + parts[j][4:]
+        elif fault == "extra-token":
+            parts.append(token_key(data.draw(_TOKENS)))
+        elif fault == "missing-token":
+            parts.pop()
+        elif fault == "bad-utf8":
+            # Break a multi-byte character, or put a lone 0xff into a token.
+            j = data.draw(st.integers(0, n - 1))
+            token = bytearray(parts[j])
+            high = [i for i in range(4, len(token)) if token[i] >= 0x80]
+            if high:
+                token[data.draw(st.sampled_from(high))] = 0x41
+            else:
+                token = struct.pack("<I", len(token) - 3) + bytes(token[4:]) + b"\xff"
+            parts[j] = bytes(token)
+
+        body = bytearray(struct.pack("<Q", len(keys)))
+        ends = []
+        for parts, count in zip(keys, counts):
+            key = b"".join(parts)
+            body += struct.pack("<I", len(key)) + key
+            ends.append(len(body))
+            body += struct.pack("<Q", count)
+        if fault == "trailing-bytes":
+            body += data.draw(st.binary(min_size=1, max_size=9))
+        elif fault == "flip-byte":
+            i = data.draw(st.integers(0, len(body) - 1))
+            body[i] ^= data.draw(st.integers(1, 255))
+        elif fault == "truncate":
+            del body[data.draw(st.integers(0, len(body) - 1)):]
+        elif fault == "bad-key-then-truncated":
+            del body[data.draw(st.integers(ends[bad], len(body) - 1)):]
+
+        path = ngi_dir / "fuzz.ngi"
+        path.write_bytes(NGI_MAGIC + struct.pack("<HHIBB", 1, n, 10, 0, 0) + body)
+        fast = _load_outcome(path, _Reader.text_table)
+        assert fast == _load_outcome(path, text_table_oracle)
+        if fault in _KEY_FAULTS or fault == "bad-key-then-truncated":
+            assert fast[0] == "error" and "truncated" not in fast[1]
+        if fault == "none":
+            assert fast[0] == "ok"
+            assert fast[1][2] == dict(zip(map(b"".join, keys), counts))
 
 
 GOLDEN_BOILER = (

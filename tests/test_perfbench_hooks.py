@@ -5,11 +5,13 @@
 `perfbench/probe.py hash-text` calls `decontam.hash_text_ngram` on token
 tuples. A refactor that bypasses a wrapped global or changes one of these
 signatures would make `--trace 1` runs fail or lose spans; these tests run
-both scripts on tiny inputs to catch that.
+both scripts on tiny inputs to catch that. The numpy commands import
+`coreset` and `scoring` inside the command, so their spans are checked too.
 """
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +118,57 @@ def test_traced_image_pipeline(corpora, hashed):
     } <= edges
     (scan,) = [s for s in spans if s["name"] == "decontam.scan_image"]
     assert scan["counts"]["windows_matched"] == 2 * 25
+
+
+def test_traced_select_and_gap(tmp_path):
+    n, d = 6, 3
+    emb = tmp_path / "e.bin"
+    emb.write_bytes(b"EMB1" + struct.pack(f"<II{n * d}f", n, d,
+                                          *[(i * 7 + j) % 5 for i in range(n)
+                                            for j in range(d)]))
+    ids = tmp_path / "e.ids"
+    ids.write_text("".join(f"s{i}\n" for i in range(n)))
+    sel = tmp_path / "sel.json"
+    _, edges = _spans(tmp_path, "select", "select", "--embeddings", emb, "--ids", ids,
+                      "--k", "2", "--out", sel)
+    assert {
+        ("cli.select", None),
+        ("corpus.load_embeddings", "cli.select"),
+        ("coreset.k_center_greedy", "cli.select"),
+    } <= edges
+
+    scores = tmp_path / "scores.csv"
+    scores.write_text("model,dataset,score\n" +
+                      "".join(f"m,s{i},{i}\n" for i in range(n)))
+    _, edges = _spans(tmp_path, "gap", "gap", "--scores", scores, "--selection", sel,
+                      "--out", tmp_path / "gap.json")
+    assert {
+        ("corpus.load_scores", "cli.gap"),
+        ("coreset.subset_gap", "cli.gap"),
+    } <= edges
+
+
+def test_traced_aggregate_and_correlate(tmp_path):
+    full = tmp_path / "full.csv"
+    full.write_text("model,dataset,score\nm1,a,10\nm2,a,30\nm3,a,20\n")
+    lite = tmp_path / "lite.csv"
+    lite.write_text("model,dataset,score\nm1,a,12\nm2,a,28\nm3,a,25\n")
+    scales = tmp_path / "scales.json"
+    scales.write_text(json.dumps({"a": {"min": 0, "max": 50}}))
+    _, edges = _spans(tmp_path, "aggregate", "aggregate", "--scores", full,
+                      "--scales", scales, "--out", tmp_path / "agg.json")
+    assert {
+        ("corpus.load_scores", "cli.aggregate"),
+        ("scoring.load_scales", "cli.aggregate"),
+        ("scoring.aggregate", "cli.aggregate"),
+    } <= edges
+
+    _, edges = _spans(tmp_path, "correlate", "correlate", "--full", full,
+                      "--lite", lite, "--out", tmp_path / "corr.json")
+    assert {
+        ("corpus.load_scores", "cli.correlate"),
+        ("scoring.correlate_lite", "cli.correlate"),
+    } <= edges
 
 
 def test_hash_text_probe(corpora):

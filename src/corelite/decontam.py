@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, starmap
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import CoreliteError
 from .corpus import (
@@ -426,11 +426,11 @@ class _Reader:
     def text_table(self, n: int) -> dict:
         """A u64 count, then that many length-prefixed exact text keys and counts.
 
-        A key whose n token lengths step exactly to its end and whose bytes,
-        length prefixes included, are all ASCII is valid as it stands. Any
-        other key (a fault, a multi-byte token, a length byte of 0x80 or
-        more) goes through `_split_words`, which checks each token and names
-        the fault.
+        Each key is checked in one walk over its n token lengths. ASCII bytes
+        are valid UTF-8 as they stand, so only a key that is not all ASCII (a
+        multi-byte token, a length byte of 0x80 or more) decodes each token as
+        the walk passes it. Only a key that fails goes through `_split_words`,
+        which names the first fault.
         """
         (count,) = self.take("<Q")
         data, off, size = self.data, self.off, len(self.data)
@@ -447,12 +447,18 @@ class _Reader:
             key = data[start:off]
             pos = 0
             try:
-                for _ in steps:
-                    pos += 4 + u32(key, pos)[0]
-            except struct.error:  # a length cut short at the key's end
+                if key.isascii():
+                    for _ in steps:
+                        pos += 4 + u32(key, pos)[0]
+                else:
+                    for _ in steps:
+                        end = pos + 4 + u32(key, pos)[0]
+                        key[pos + 4 : end].decode("utf-8")
+                        pos = end
+            except (struct.error, UnicodeDecodeError):
                 pos = -1
-            if pos != len(key) or not key.isascii():
-                self.check_text_key(key, n)
+            if pos != len(key):
+                self.bad_text_key(key, n)
             if off + 8 > size:
                 raise self.truncated()
             (table[key],) = u64(data, off)
@@ -460,15 +466,13 @@ class _Reader:
         self.off = off
         return table
 
-    def check_text_key(self, key: bytes, n: int) -> None:
+    def bad_text_key(self, key: bytes, n: int) -> NoReturn:
+        # The key failed the walk, so `_split_words` raises or counts other than n.
         try:
             tokens = len(_split_words(key))
         except ValueError as exc:  # includes UnicodeDecodeError
             raise CoreliteError(f"{self.path}: bad text key ({exc})") from None
-        if tokens != n:
-            raise CoreliteError(
-                f"{self.path}: text key of {tokens} tokens, expected {n}"
-            )
+        raise CoreliteError(f"{self.path}: text key of {tokens} tokens, expected {n}")
 
     def records(self, fmt: str):
         """A u64 count, then that many fixed-width `fmt` records, unpacked."""

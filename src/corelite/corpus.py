@@ -266,10 +266,11 @@ def save_embeddings(matrix: EmbeddingMatrix, data_path, ids_path) -> None:
 
 
 def _csv_rows(path, fh):
-    """The CSV rows of an open file; a row the reader rejects names its line."""
+    """(line, row) per CSV row, `line` its last physical line; a bad row names it."""
     reader = csv.reader(fh)
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise CoreliteError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -281,7 +282,7 @@ def load_scores(path) -> ScoreTable:
     with open(path, encoding="utf-8", newline="") as fh:
         rows = _csv_rows(path, fh)
         try:
-            header = next(rows)
+            _, header = next(rows)
         except StopIteration:
             raise CoreliteError(f"{path}: empty file, expected a header") from None
         if header[:3] != ["model", "dataset", "score"]:
@@ -289,32 +290,32 @@ def load_scores(path) -> ScoreTable:
                 f"{path}: header must start with model,dataset,score"
             )
         has_count = len(header) > 3 and header[3] == "count"
-        for lineno, row in enumerate(rows, start=2):
+
+        def bad(msg: str) -> CoreliteError:  # the message for the current row
+            return CoreliteError(f"{path}: line {line}: {msg}")
+
+        for line, row in rows:
             if not row:
                 continue
             if len(row) < 3:
-                raise CoreliteError(f"line {lineno}: expected at least 3 columns")
+                raise bad("expected at least 3 columns")
             model, dataset = row[0], row[1]
             try:
                 score = float(row[2])
             except ValueError:
-                raise CoreliteError(
-                    f"line {lineno}: unparseable score {row[2]!r}"
-                ) from None
+                raise bad(f"unparseable score {row[2]!r}") from None
             if not math.isfinite(score):
-                raise CoreliteError(f"line {lineno}: score must be finite")
+                raise bad("score must be finite")
             key = (model, dataset)
             if key in entries:
-                raise CoreliteError(f"duplicate (model, dataset) pair {key}")
+                raise bad(f"duplicate (model, dataset) pair {key}")
             entries[key] = score
             if has_count and len(row) > 3 and row[3] != "":
                 try:
                     count = int(row[3])
                 except ValueError:
-                    raise CoreliteError(
-                        f"line {lineno}: unparseable count {row[3]!r}"
-                    ) from None
+                    raise bad(f"unparseable count {row[3]!r}") from None
                 if count <= 0:
-                    raise CoreliteError(f"line {lineno}: count must be positive")
+                    raise bad("count must be positive")
                 counts[key] = count
     return ScoreTable(entries, counts)

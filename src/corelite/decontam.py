@@ -151,7 +151,9 @@ class TextNGramIndex:
     A table key is the n-gram's NGI1 key bytes (per token a u32 byte length
     and its UTF-8), or in hashed mode their 64-bit FNV-1a (memory saver at
     scale; identical scan results absent collisions). `meaningless_tokens`
-    holds per-token encodings, or their FNV-1a when hashed.
+    holds per-token encodings, or their FNV-1a when hashed. A hashed build
+    takes a meaningless key's tokens from the window that first passed the
+    threshold, so a colliding key misses its other windows' tokens.
     """
 
     n: int
@@ -199,18 +201,16 @@ def _image_windows(encoded: bytes, n: int) -> list[bytes]:
 
 
 def _text_index(
-    n: int, freq_threshold: int, hashed: bool, table: dict, recover_tokens: Callable
+    n: int, freq_threshold: int, hashed: bool, table: dict, token_hashes
 ) -> TextNGramIndex:
     """Derive the meaningless n-grams and their token keys from a count table.
 
-    Exact keys hold their token encodings. Hashed keys do not, so
-    `recover_tokens(meaningless)` supplies the token hashes instead.
+    Exact keys hold their token encodings. Hashed keys do not, so the caller
+    passes the meaningless-token hashes as `token_hashes` (`()` when exact).
     """
     meaningless = frozenset(k for k, c in table.items() if c > freq_threshold)
-    if hashed:
-        tokens = frozenset(recover_tokens(meaningless))
-    else:
-        tokens = frozenset(chain.from_iterable(map(_split_words, meaningless)))
+    words = chain.from_iterable(map(_split_words, meaningless))  # read if exact
+    tokens = frozenset(token_hashes if hashed else words)
     return TextNGramIndex(n, freq_threshold, hashed, table, meaningless, tokens)
 
 
@@ -220,7 +220,11 @@ def build_text_index(
     freq_threshold: int = 10,
     hashed: bool = False,
 ) -> TextNGramIndex:
-    """Count all word n-grams in the training corpus and derive the meaningless sets."""
+    """Count all word n-grams in the training corpus and derive the meaningless sets.
+
+    One pass: a hashed key keeps no tokens, so its window that first passes
+    `freq_threshold` gives them (the key's own, absent a 64-bit collision).
+    """
     _check_n(_KIND_TEXT, n)
     if freq_threshold < 1:
         raise CoreliteError("freq_threshold must be at least 1")
@@ -229,23 +233,19 @@ def build_text_index(
     encode = _Memo(_text_token_bytes).__getitem__
 
     table: Counter = Counter()
+    tokens = set()
     for doc in train:
         encoded = list(map(encode, tokenize_text(doc.text)))
-        table.update(_keys(_text_windows(encoded, n), hashed))
+        windows = _text_windows(encoded, n)
+        if not hashed:
+            table.update(windows)
+            continue
+        for pos, key in enumerate(map(fnv1a64, windows)):
+            table[key] = count = table.get(key, 0) + 1
+            if count == freq_threshold + 1:
+                tokens.update(encoded[pos : pos + n])
 
-    def second_pass(meaningless):
-        # Hashed keys do not keep their tokens: find them in the corpus again.
-        if not meaningless:
-            return ()
-        tokens = set()
-        for doc in train:
-            encoded = list(map(encode, tokenize_text(doc.text)))
-            for pos, key in enumerate(map(fnv1a64, _text_windows(encoded, n))):
-                if key in meaningless:
-                    tokens.update(encoded[pos : pos + n])
-        return map(fnv1a64, tokens)
-
-    return _text_index(n, freq_threshold, hashed, dict(table), second_pass)
+    return _text_index(n, freq_threshold, hashed, dict(table), map(fnv1a64, tokens))
 
 
 def overlap_ratio(candidate, index: TextNGramIndex) -> float:
@@ -503,9 +503,8 @@ def load_index(path):
         table = dict(r.records(f"{_key_format(hashed, n)}Q"))
     if kind == _KIND_TEXT:
         # The hashed-text trailer holds the u64 meaningless-token hashes.
-        index = _text_index(
-            n, freq, hashed, table, lambda _: chain.from_iterable(r.records("Q"))
-        )
+        tokens = chain.from_iterable(r.records("Q")) if hashed else ()
+        index = _text_index(n, freq, hashed, table, tokens)
     else:
         key = _key_format(hashed, IMAGE_TOKEN_LEN)
         exact = frozenset(chain.from_iterable(r.records(key)))

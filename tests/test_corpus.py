@@ -230,6 +230,21 @@ class TestScores:
         with pytest.raises(CoreliteError, match="unparseable score"):
             load_scores(p)
 
+    def test_row_error_names_file_and_physical_line(self, tmp_path):
+        # The first row's quoted model name spans lines 2-3, so "oops" is on 4.
+        p = tmp_path / "s.csv"
+        p.write_text('model,dataset,score\n"m\n1",ds,1.0\nm2,ds,oops\n')
+        with pytest.raises(CoreliteError) as exc:
+            load_scores(p)
+        assert str(exc.value) == f"{p}: line 4: unparseable score 'oops'"
+
+    def test_duplicate_names_file_and_line(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("model,dataset,score\nm1,ai2d,66.6\n\nm1,ai2d,50.0\n")
+        with pytest.raises(CoreliteError) as exc:
+            load_scores(p)
+        assert str(exc.value).startswith(f"{p}: line 4: duplicate")
+
     def test_counts_column(self, tmp_path):
         p = tmp_path / "s.csv"
         p.write_text("model,dataset,score,count\nm1,ai2d,66.6,3088\n")

@@ -74,13 +74,27 @@ class TestBuildTextIndex:
         assert token_key("x0") in index.meaningless_tokens
         assert token_key("w0") not in index.meaningless_tokens
 
-    def test_order_independence(self):
-        docs = [doc(f"d{i}", words(12, f"p{i % 3}")) for i in range(9)]
+    @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
+    def test_order_independence(self, hashed):
+        # Windows near a document's start reach count 3 and are meaningless;
+        # reversing the corpus moves the document where each crosses 2.
+        docs = [doc(f"d{i}", words(12 + i, f"p{i % 3}")) for i in range(9)]
         shuffled = docs[::-1]
-        a = build_text_index(docs)
-        b = build_text_index(shuffled)
+        a = build_text_index(docs, freq_threshold=2, hashed=hashed)
+        b = build_text_index(shuffled, freq_threshold=2, hashed=hashed)
         assert a.table == b.table
         assert a.meaningless == b.meaningless
+        assert a.meaningless_tokens == b.meaningless_tokens
+        assert 0 < len(a.meaningless) < len(a.table)
+
+    def test_hashed_build_reads_corpus_once(self):
+        docs = [doc(f"d{i}", words(9)) for i in range(3)]
+        with mock.patch(
+            "corelite.decontam.tokenize_text", wraps=tokenize_text
+        ) as spy:
+            index = build_text_index(docs, freq_threshold=2, hashed=True)
+        assert index.meaningless
+        assert spy.call_count == len(docs)
 
     def test_invalid_params(self):
         with pytest.raises(CoreliteError):

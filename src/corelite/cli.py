@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import asdict
 
 from . import CoreliteError, __version__
 from . import decontam
@@ -41,12 +43,17 @@ def _sha256(path) -> str:
 
 
 def _write_json(path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+    try:
+        text = json.dumps(
+            obj, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False
+        )
+    except ValueError as exc:  # NaN or ±inf, which JSON cannot hold
+        raise CoreliteError(f"{path}: {exc}") from None
     write_atomic(path, (text + "\n").encode("utf-8"))
 
 
-def _sig6(value: float) -> float:
-    return float(f"{value:.6g}")
+def _sig6(value: float | None) -> float | None:
+    return None if value is None else float(f"{value:.6g}")
 
 
 def _positive_int(text: str) -> int:
@@ -54,17 +61,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be ≥ 1")
     return value
-
-
-def _report_to_json(report: decontam.OverlapReport) -> dict:
-    return {
-        "per_instance": {
-            inst_id: {**vars(inst), "category": inst.category.value}
-            for inst_id, inst in report.per_instance.items()
-        },
-        "text_overlap_pct": report.text_overlap_pct,
-        "image_overlap_pct": report.image_overlap_pct,
-    }
 
 
 def cmd_select(args) -> tuple[dict, dict]:
@@ -79,17 +75,8 @@ def cmd_select(args) -> tuple[dict, dict]:
     if args.normalize:
         emb = EmbeddingMatrix(emb.ids, coreset.normalize_rows(emb.data))
     sel = coreset.k_center_greedy(emb, k, seed=args.seed)
-    _write_json(
-        args.out,
-        {
-            "k": sel.k,
-            "seed": sel.seed,
-            "metric": sel.metric,
-            "coverage_radius": sel.coverage_radius,
-            "center_indices": list(sel.center_indices),
-            "center_ids": [emb.ids[i] for i in sel.center_indices],
-        },
-    )
+    center_ids = [emb.ids[i] for i in sel.center_indices]
+    _write_json(args.out, {**asdict(sel), "center_ids": center_ids})
     params = {"k": k, "seed": args.seed, "normalize": args.normalize, "metric": "l2"}
     return params, {"embeddings": args.embeddings, "ids": args.ids}
 
@@ -121,16 +108,8 @@ def cmd_gap(args) -> tuple[dict, dict]:
             raise CoreliteError(f"selected id {inst_id!r} not present in scores")
         subset.append(positions[inst_id])
     gap = coreset.subset_gap(values, subset)
-    _write_json(
-        args.out,
-        {
-            "full_mean": gap.full_mean,
-            "subset_mean": gap.subset_mean,
-            "gap": gap.gap,
-            "subset_size": len(subset),
-            "total": len(values),
-        },
-    )
+    sizes = {"subset_size": len(subset), "total": len(values)}
+    _write_json(args.out, {**asdict(gap), **sizes})
     print(f"gap={gap.gap}")
     return {}, {"scores": args.scores, "selection": args.selection}
 
@@ -153,9 +132,12 @@ def cmd_scan_text(args) -> tuple[dict, dict]:
         raise CoreliteError(
             f"index was built with n={index.n}, scan requested n={args.n}"
         )
+    # The manifest cannot hold inf, and any value above 1 turns the filter off.
+    if math.isinf(args.ratio_threshold):
+        raise CoreliteError("--ratio-threshold must be finite")
     bench = load_text_corpus(args.bench)
     report = decontam.scan_text(bench, index, ratio_threshold=args.ratio_threshold)
-    _write_json(args.out, _report_to_json(report))
+    _write_json(args.out, asdict(report))
     print(f"text_overlap_pct={report.text_overlap_pct}")
     params = {"ratio_threshold": args.ratio_threshold, "n": index.n}
     return params, {"index": args.index, "bench": args.bench}
@@ -165,7 +147,7 @@ def cmd_index_image(args) -> tuple[dict, dict]:
     train = load_token_corpus(args.train)
     index = decontam.build_image_index(train, hashed=args.hashed)
     decontam.save_index(index, args.out)
-    return {"n": 8, "hashed": args.hashed}, {"train": args.train}
+    return {"n": index.n, "hashed": args.hashed}, {"train": args.train}
 
 
 def cmd_scan_image(args) -> tuple[dict, dict]:
@@ -174,7 +156,7 @@ def cmd_scan_image(args) -> tuple[dict, dict]:
         raise CoreliteError(f"{args.index}: not an image index")
     bench = load_token_corpus(args.bench)
     report = decontam.scan_image(bench, index)
-    _write_json(args.out, _report_to_json(report))
+    _write_json(args.out, asdict(report))
     print(f"image_overlap_pct={report.image_overlap_pct}")
     return {"n": index.n}, {"index": args.index, "bench": args.bench}
 
@@ -186,13 +168,8 @@ def cmd_aggregate(args) -> tuple[dict, dict]:
     scales = scoring.load_scales(args.scales) if args.scales else ScaleSpec({})
     weighting = "instance_weighted" if args.weighted else "unweighted"
     result = scoring.aggregate(scores, scales, weighting)
-    _write_json(
-        args.out,
-        {
-            "weighting": result.weighting,
-            "per_model": {m: _sig6(v) for m, v in result.per_model.items()},
-        },
-    )
+    per_model = {m: _sig6(v) for m, v in result.per_model.items()}
+    _write_json(args.out, {**asdict(result), "per_model": per_model})
     inputs = {"scores": args.scores}
     if args.scales:
         inputs["scales"] = args.scales
@@ -205,18 +182,8 @@ def cmd_correlate(args) -> tuple[dict, dict]:
     full = load_scores(args.full)
     lite = load_scores(args.lite)
     result = scoring.correlate_lite(full, lite, method=args.method)
-    _write_json(
-        args.out,
-        {
-            "method": result.method,
-            "per_dataset": {
-                d: (None if r is None else _sig6(r))
-                for d, r in result.per_dataset.items()
-            },
-            "sample_count": result.sample_count,
-            "undefined_reason": result.undefined_reason,
-        },
-    )
+    per_dataset = {d: _sig6(r) for d, r in result.per_dataset.items()}
+    _write_json(args.out, {**asdict(result), "per_dataset": per_dataset})
     return {"method": args.method}, {"full": args.full, "lite": args.lite}
 
 

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 EMB_MAGIC = b"EMB1"
 IMAGE_TOKEN_LEN = 32
 _MAX_TOKEN_ID = (1 << 32) - 1
+_MAX_COUNT = 1 << 53  # the largest count a float64 weight holds exactly
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -112,6 +113,8 @@ class ScoreTable:
         for key, count in self.counts.items():
             if count <= 0:
                 raise CoreliteError(f"count for {key} must be positive")
+            if count > _MAX_COUNT:
+                raise CoreliteError(f"count for {key} must be at most 2**53")
 
     def models(self) -> list[str]:
         return sorted({m for m, _ in self.entries})
@@ -317,5 +320,7 @@ def load_scores(path) -> ScoreTable:
                     raise bad(f"unparseable count {row[3]!r}") from None
                 if count <= 0:
                     raise bad("count must be positive")
+                if count > _MAX_COUNT:
+                    raise bad("count must be at most 2**53")
                 counts[key] = count
     return ScoreTable(entries, counts)

@@ -19,7 +19,7 @@ import enum
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, starmap
 from pathlib import Path
 from typing import Callable, NoReturn
@@ -102,7 +102,14 @@ def _check_n(kind: int, n: int, where: str = "") -> None:
         raise CoreliteError(f"{where}n must be in 1..{_MAX_N[kind]}")
 
 
-class ContaminationCategory(enum.Enum):
+def _check_freq(freq_threshold: int, where: str = "") -> None:
+    if not 1 <= freq_threshold <= 0xFFFFFFFF:  # NGI1 stores it as a u32
+        raise CoreliteError(f"{where}freq_threshold must be in 1..4294967295")
+
+
+class ContaminationCategory(str, enum.Enum):
+    """A str enum, so JSON writes each category as its value."""
+
     CLEAN = "clean"
     DUPLICATE_IMAGE = "duplicate_image"
     SIMILAR_IMAGE = "similar_image"
@@ -127,8 +134,12 @@ class InstanceOverlap:
     text_hit: bool
     image_hit: bool
     exact_image: bool
-    category: ContaminationCategory
     matched_windows: int
+    category: ContaminationCategory = field(init=False)
+
+    def __post_init__(self):
+        category = categorize(self.text_hit, self.image_hit, self.exact_image)
+        object.__setattr__(self, "category", category)
 
 
 @dataclass(frozen=True)
@@ -142,6 +153,11 @@ class OverlapReport:
         for inst in self.per_instance.values():
             counts[inst.category] += 1
         return counts
+
+
+def _hit_pct(hits: list[bool]) -> float:
+    """Percentage of scanned documents with a hit, one flag per document."""
+    return 100.0 * sum(hits) / len(hits) if hits else 0.0
 
 
 @dataclass(frozen=True)
@@ -226,10 +242,7 @@ def build_text_index(
     `freq_threshold` gives them (the key's own, absent a 64-bit collision).
     """
     _check_n(_KIND_TEXT, n)
-    if freq_threshold < 1:
-        raise CoreliteError("freq_threshold must be at least 1")
-    if freq_threshold > 0xFFFFFFFF:  # NGI1 stores it as a u32
-        raise CoreliteError("freq_threshold must be in 1..4294967295")
+    _check_freq(freq_threshold)
     encode = _Memo(_text_token_bytes).__getitem__
 
     table: Counter = Counter()
@@ -282,7 +295,7 @@ def scan_text(
     # leaked document's tokens sit in up to n of them: hash each one once.
     token_hash = _Memo(fnv1a64).__getitem__
     per_instance: dict[str, InstanceOverlap] = {}
-    hit_count = 0
+    hits = []
     for doc in bench:
         encoded = list(map(encode, tokenize_text(doc.text)))
         keys = _keys(_text_windows(encoded, index.n), index.hashed)
@@ -295,18 +308,9 @@ def scan_text(
             window_keys = list(map(token_hash, window)) if index.hashed else window
             if overlap_ratio(window_keys, index) < ratio_threshold:
                 matched += 1
-        text_hit = matched > 0
-        hit_count += text_hit
-        per_instance[doc.id] = InstanceOverlap(
-            text_hit=text_hit,
-            image_hit=False,
-            exact_image=False,
-            category=categorize(text_hit, False, False),
-            matched_windows=matched,
-        )
-
-    total = len(bench)
-    pct = 100.0 * hit_count / total if total else 0.0
+        hits.append(matched > 0)
+        per_instance[doc.id] = InstanceOverlap(matched > 0, False, False, matched)
+    pct = _hit_pct(hits)
     return OverlapReport(per_instance, text_overlap_pct=pct, image_overlap_pct=0.0)
 
 
@@ -327,25 +331,17 @@ def build_image_index(
 def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapReport:
     """Flag benchmark sequences whose windows (or whole sequence) hit the index."""
     per_instance: dict[str, InstanceOverlap] = {}
-    hit_count = 0
+    hits = []
     for seq in bench:
         encoded = _image_encoding(seq)
         keys = _keys(_image_windows(encoded, index.n), index.hashed)
         matched = sum(1 for key in keys if key in index.table)
         (whole,) = _keys([encoded], index.hashed)
-        exact_image = whole in index.exact_sequences
-        image_hit = matched > 0
-        hit_count += image_hit
+        hits.append(matched > 0)
         per_instance[seq.id] = InstanceOverlap(
-            text_hit=False,
-            image_hit=image_hit,
-            exact_image=exact_image,
-            category=categorize(False, image_hit, exact_image),
-            matched_windows=matched,
+            False, matched > 0, whole in index.exact_sequences, matched
         )
-
-    total = len(bench)
-    pct = 100.0 * hit_count / total if total else 0.0
+    pct = _hit_pct(hits)
     return OverlapReport(per_instance, text_overlap_pct=0.0, image_overlap_pct=pct)
 
 
@@ -502,6 +498,7 @@ def load_index(path):
     else:
         table = dict(r.records(f"{_key_format(hashed, n)}Q"))
     if kind == _KIND_TEXT:
+        _check_freq(freq, f"{path}: ")
         # The hashed-text trailer holds the u64 meaningless-token hashes.
         tokens = chain.from_iterable(r.records("Q")) if hashed else ()
         index = _text_index(n, freq, hashed, table, tokens)

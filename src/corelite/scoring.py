@@ -110,12 +110,16 @@ def pearson(x, y) -> float:
         raise CoreliteError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise CoreliteError("correlation needs at least 2 points")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite sum
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sxy, sxx, syy = float(xc @ yc), float(xc @ xc), float(yc @ yc)
+    denom = math.sqrt(sxx * syy)
     if denom == 0.0:
         raise CoreliteError("undefined correlation: constant input")
-    return float(xc @ yc) / denom
+    if not (math.isfinite(sxy) and math.isfinite(denom)):
+        raise CoreliteError("undefined correlation: sums not finite in float64")
+    return sxy / denom
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

@@ -15,11 +15,7 @@ import pytest
 
 from corelite.cli import main
 from corelite.corpus import EmbeddingMatrix, ScaleSpec, ScoreTable, save_embeddings
-from corelite.coreset import (
-    brute_force_k_center,
-    k_center_greedy,
-    subset_gap,
-)
+from corelite.coreset import k_center_greedy, subset_gap
 from corelite.decontam import (
     ContaminationCategory,
     build_image_index,
@@ -29,6 +25,7 @@ from corelite.decontam import (
 )
 from corelite.corpus import TextDocument, TokenSequence
 from corelite.scoring import aggregate, normalize_score, pearson, spearman
+from oracles import brute_force_k_center
 
 
 def _ok(n, name):

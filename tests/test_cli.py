@@ -495,6 +495,84 @@ class TestErrorLines:
         )
         assert f"{scores}: line {row + 1}: field larger than field limit" in err
 
+    def test_gap_overflow(self, tmp_path, capsys):
+        # The full mean overflows float64: the gap would be written as NaN.
+        scores = tmp_path / "scores.csv"
+        scores.write_text("model,dataset,score\nm,a,1.7e308\nm,b,1.7e308\nm,c,1\n")
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"center_ids": ["a", "b"]}))
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["gap", "--scores", str(scores), "--selection", str(sel),
+             "--out", str(tmp_path / "g.json")],
+            ["scores.csv", "sel.json"],
+        )
+        assert "overflow float64" in err
+
+    def test_correlate_overflow_is_undefined(self, tmp_path, capsys):
+        full = tmp_path / "full.csv"
+        full.write_text("model,dataset,score\nm1,a,1e308\nm2,a,1.7e308\nm3,a,1.5e308\n")
+        lite = tmp_path / "lite.csv"
+        lite.write_text("model,dataset,score\nm1,a,1\nm2,a,3\nm3,a,2\n")
+        out = tmp_path / "c.json"
+        rc = main(["correlate", "--full", str(full), "--lite", str(lite),
+                   "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert payload["per_dataset"] == {"a": None}
+        assert "not finite" in payload["undefined_reason"]["a"]
+
+    @pytest.mark.parametrize("digits", [308, 309], ids=["infinity", "traceback"])
+    def test_weighted_count_beyond_float64(self, tmp_path, capsys, digits):
+        # 10**307 * a score of 100 overflows to inf; 10**308 fails int -> float.
+        count = 10 ** (digits - 1)
+        scores = tmp_path / "s.csv"
+        scores.write_text(
+            f"model,dataset,score,count\nm,a,100,{count}\nm,b,100,{count}\n"
+        )
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["aggregate", "--scores", str(scores), "--weighted",
+             "--out", str(tmp_path / "agg.json")],
+            ["s.csv"],
+        )
+        assert f"{scores}: line 2: count must be at most 2**53" in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf"])
+    def test_infinite_ratio_threshold(self, tmp_path, capsys, value):
+        body = " ".join(f"w{j}" for j in range(10))
+        train = write_jsonl(tmp_path / "train.jsonl", [{"id": "t", "text": body}])
+        bench = write_jsonl(tmp_path / "bench.jsonl", [{"id": "b", "text": body}])
+        idx = tmp_path / "idx.bin"
+        assert main(["index-text", "--train", str(train), "--out", str(idx)]) == 0
+        capsys.readouterr()
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["scan-text", "--index", str(idx), "--bench", str(bench),
+             f"--ratio-threshold={value}", "--report", str(tmp_path / "r.json")],
+            ["train.jsonl", "bench.jsonl", "idx.bin", "idx.bin.manifest.json"],
+        )
+        assert "--ratio-threshold must be finite" in err
+
+    def test_index_with_freq_threshold_zero(self, tmp_path, capsys):
+        # Every key of such an index is meaningless, so a verbatim copy scans clean.
+        body = " ".join(f"w{j}" for j in range(10))
+        train = write_jsonl(tmp_path / "train.jsonl", [{"id": "t", "text": body}])
+        idx = tmp_path / "idx.bin"
+        assert main(["index-text", "--train", str(train), "--out", str(idx)]) == 0
+        capsys.readouterr()
+        data = bytearray(idx.read_bytes())
+        data[8:12] = bytes(4)  # the u32 freq_threshold in the NGI1 header
+        idx.write_bytes(data)
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["scan-text", "--index", str(idx), "--bench", str(train),
+             "--report", str(tmp_path / "r.json")],
+            ["train.jsonl", "idx.bin", "idx.bin.manifest.json"],
+        )
+        assert f"{idx}: freq_threshold must be in 1..4294967295" in err
+
     def test_internal_key_error_is_not_a_data_error(self, tmp_path, monkeypatch):
         def broken(args):
             raise KeyError("bug")
@@ -565,6 +643,10 @@ class TestNumpyStaysOut:
         assert _import_probe(tmp_path, runs) == [["select", True]]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _golden_inputs(root):
     """Fixed inputs for every subcommand; small integers keep floats BLAS-free."""
     points = [[(i * 7) % 11, (i * 5) % 13, (i * 3) % 5] for i in range(20)]
@@ -610,7 +692,7 @@ def _golden_inputs(root):
 
 
 def _golden_run(root):
-    """Run every subcommand once; returns (output name -> SHA-256, stdout)."""
+    """Run every subcommand once; returns (output name -> its bytes, stdout)."""
     _golden_inputs(root)
     f = {name: str(root / name) for name in (
         "e.bin", "e.ids", "inst.csv", "train.jsonl", "bench.jsonl", "itrain.jsonl",
@@ -642,12 +724,11 @@ def _golden_run(root):
         for argv in runs:
             argv[-1] = str(root / argv[-1])
             assert main(argv) == 0, argv
-    digests = {}
+    artifacts = {}
     for argv in runs:
         for path in (argv[-1], argv[-1] + ".manifest.json"):
-            raw = open(path, "rb").read()
-            digests[os.path.basename(path)] = hashlib.sha256(raw).hexdigest()
-    return digests, stdout.getvalue()
+            artifacts[os.path.basename(path)] = open(path, "rb").read()
+    return artifacts, stdout.getvalue()
 
 
 class TestGoldenArtifacts:
@@ -721,10 +802,13 @@ class TestGoldenArtifacts:
 
     @pytest.mark.parametrize("name", sorted(DIGESTS))
     def test_digest(self, run, name):
-        assert run[0][name] == self.DIGESTS[name]
+        assert hashlib.sha256(run[0][name]).hexdigest() == self.DIGESTS[name]
 
     def test_every_artifact_pinned(self, run):
         assert sorted(run[0]) == sorted(self.DIGESTS)
+        for name, raw in run[0].items():  # strict JSON: no NaN or Infinity
+            if name.endswith(".json"):
+                json.loads(raw, parse_constant=_reject_constant)
 
     def test_stdout(self, run):
         assert run[1] == self.STDOUT

@@ -9,13 +9,12 @@ from hypothesis.extra import numpy as hnp
 from corelite import CoreliteError
 from corelite.coreset import (
     CoresetSelection,
-    brute_force_k_center,
-    coverage_radius,
     k_center_greedy,
     normalize_rows,
     subset_gap,
 )
 from corelite.corpus import EmbeddingMatrix
+from oracles import brute_force_k_center, coverage_radius
 
 
 def emb_1d(points, ids=None):
@@ -258,6 +257,16 @@ class TestSubsetGap:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(CoreliteError, match="distinct"):
             subset_gap([1.0, 2.0], [0, 0])
+
+    @pytest.mark.parametrize(
+        "scores,subset",
+        [([1.7e308, 1.7e308, 1.0], [0, 1]), ([1.7e308, -1.7e308, 1.7e308], [1])],
+        ids=["mean", "gap"],
+    )
+    def test_overflow_rejected(self, scores, subset):
+        # The means (or their gap) exceed float64; numpy's warnings stay quiet.
+        with pytest.raises(CoreliteError, match="overflow float64"):
+            subset_gap(scores, subset)
 
 
 class TestSelectionInvariants:

@@ -13,6 +13,7 @@ import corelite
 from corelite import CoreliteError
 from corelite.corpus import (
     EmbeddingMatrix,
+    ScoreTable,
     tokenize_text,
     load_embeddings,
     load_scores,
@@ -250,6 +251,20 @@ class TestScores:
         p.write_text("model,dataset,score,count\nm1,ai2d,66.6,3088\n")
         table = load_scores(p)
         assert table.counts[("m1", "ai2d")] == 3088
+
+    def test_count_bound_is_two_to_the_53(self, tmp_path):
+        # 2**53 is the largest count a float64 weight holds exactly.
+        p = tmp_path / "s.csv"
+        p.write_text(
+            f"model,dataset,score,count\nm1,a,1,{2**53}\nm1,b,1,{2**53 + 1}\n"
+        )
+        with pytest.raises(CoreliteError) as exc:
+            load_scores(p)
+        assert str(exc.value) == f"{p}: line 3: count must be at most 2**53"
+        table = ScoreTable({("m1", "a"): 1.0}, {("m1", "a"): 2**53})
+        assert table.counts[("m1", "a")] == 2**53
+        with pytest.raises(CoreliteError, match="at most 2"):
+            ScoreTable({("m1", "a"): 1.0}, {("m1", "a"): 2**53 + 1})
 
 
 class TestWriteAtomic:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import struct
 from collections import Counter
@@ -12,6 +13,7 @@ from corelite import CoreliteError
 from corelite.corpus import TextDocument, TokenSequence, tokenize_text
 from corelite.decontam import (
     ContaminationCategory,
+    InstanceOverlap,
     NGI_MAGIC,
     _Reader,
     _split_words,
@@ -159,6 +161,16 @@ class TestScanText:
         report = scan_text([doc("b", boiler)], index)
         assert report.per_instance["b"].text_hit is False
 
+    def test_repeated_ids_count_every_scanned_document(self):
+        # The report keeps one record per id, but the percentage is over the
+        # scanned documents: here the copy hits and the later "a" does not.
+        body = "alpha beta gamma delta epsilon zeta eta theta iota"
+        index = build_text_index([doc("t", body)])
+        report = scan_text([doc("a", body), doc("a", words(9)), doc("b", "x")], index)
+        assert report.text_overlap_pct == 100.0 / 3
+        assert list(report.per_instance) == ["a", "b"]
+        assert report.per_instance["a"].text_hit is False
+
     def test_nan_ratio_threshold_rejected(self):
         # Every comparison with NaN is false, so a verbatim copy would pass as clean.
         body = "alpha beta gamma delta epsilon zeta eta theta iota"
@@ -255,6 +267,19 @@ class TestCategorize:
     def test_inconsistent_flags(self):
         with pytest.raises(CoreliteError, match="exact_image"):
             categorize(False, False, True)
+
+    def test_instance_derives_its_category(self):
+        inst = InstanceOverlap(text_hit=True, image_hit=True, exact_image=False,
+                               matched_windows=3)
+        assert inst.category is ContaminationCategory.SIMILAR_IMAGE
+        with pytest.raises(CoreliteError, match="exact_image"):
+            InstanceOverlap(False, False, True, 0)
+
+    def test_category_is_a_str(self):
+        # JSON writes a category as its value, and `.value` still works.
+        category = ContaminationCategory.SIMILAR_QUESTION
+        assert json.dumps({"c": category}) == '{"c": "similar_question"}'
+        assert ContaminationCategory.CLEAN.value == "clean"
 
 
 class TestHashMode:
@@ -416,6 +441,18 @@ class TestForgedHeaders:
         path = _forged(tmp_path, 0, 0, 0, struct.pack("<Q", 0))
         with pytest.raises(CoreliteError, match="n must be in 1"):
             load_index(path)
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
+    def test_text_freq_threshold_zero(self, tmp_path, hashed):
+        # At 0 every key would count as meaningless, so no copy would be flagged.
+        path = tmp_path / "t.ngi"
+        save_index(build_text_index([doc("t", words(10))], hashed=hashed), path)
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 0)  # the header's freq_threshold
+        path.write_bytes(data)
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: freq_threshold must be in 1..4294967295"
 
     @pytest.mark.parametrize(
         "n,key,message",

@@ -184,6 +184,20 @@ class TestPearson:
         with pytest.raises(CoreliteError, match="undefined correlation"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            ([1e308, 1.7e308, 1.5e308], [1.0, 3.0, 2.0]),  # the mean overflows
+            ([1e160, 3e160, 2e160], [1.0, 3.0, 2.0]),  # x's sum of squares
+            ([1e100, 3e100, 2e100], [1e100, 3e100, 2e100]),  # their product
+        ],
+        ids=["mean", "sum-of-squares", "product"],
+    )
+    def test_overflow_undefined(self, x, y):
+        # A non-finite sum must give neither NaN nor 0 (a finite sum over inf).
+        with pytest.raises(CoreliteError, match="undefined correlation: sums not"):
+            pearson(x, y)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 100), st.integers(0, 2**32 - 1))
     def test_matches_oracle_and_bounded(self, n, bits):
@@ -299,6 +313,15 @@ class TestCorrelateLite:
         assert result.per_dataset["a"] is None
         assert "constant input" in result.undefined_reason["a"]
         assert result.sample_count["a"] == 3
+
+    def test_overflow_undefined(self):
+        full = ScoreTable(
+            {("m1", "a"): 1e308, ("m2", "a"): 1.7e308, ("m3", "a"): 1.5e308}
+        )
+        lite = ScoreTable({("m1", "a"): 1.0, ("m2", "a"): 3.0, ("m3", "a"): 2.0})
+        result = correlate_lite(full, lite)
+        assert result.per_dataset["a"] is None
+        assert "not finite" in result.undefined_reason["a"]
 
     def test_models_sorted_lexicographically(self):
         full, lite = self._tables()

@@ -8,6 +8,7 @@ it runs, so the n-gram commands start without it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -44,6 +45,8 @@ class TextDocument:
     text: str
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise CoreliteError("text must be a string")
         if not self.id:
             raise CoreliteError("document id must be non-empty")
 
@@ -54,11 +57,20 @@ class TokenSequence:
     tokens: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.tokens, (list, tuple)) or not all(
+            isinstance(t, int) and not isinstance(t, bool) for t in self.tokens
+        ):
+            raise CoreliteError("tokens must be a list of integers")
+        if len(self.tokens) != IMAGE_TOKEN_LEN:
+            raise CoreliteError(
+                f"id={self.id}: length {len(self.tokens)}, expected {IMAGE_TOKEN_LEN}"
+            )
         if not self.id:
             raise CoreliteError("sequence id must be non-empty")
         for t in self.tokens:
             if not (0 <= t <= _MAX_TOKEN_ID):
                 raise CoreliteError(f"id={self.id}: token id {t} out of range")
+        object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,8 @@ class EmbeddingMatrix:
             raise CoreliteError(
                 f"id count {len(self.ids)} does not match row count {arr.shape[0]}"
             )
+        if "" in self.ids:
+            raise CoreliteError(f"row {self.ids.index('')}: empty embedding id")
         if len(set(self.ids)) != len(self.ids):
             raise CoreliteError("embedding ids must be unique")
         bad = ~np.isfinite(arr)
@@ -155,23 +169,36 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def _open_text(path, newline=None) -> io.StringIO:
+    """`open(path, encoding="utf-8", newline=newline)`; invalid UTF-8 names its line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")  # whole, so the error's offset is the file's
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CoreliteError(f"{path}: line {line}: invalid UTF-8") from None
+    return io.StringIO(text, newline=newline)
+
+
 def read_json(path):
-    """Parse a JSON file; nesting too deep for the parser names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise CoreliteError(f"{path}: JSON nested too deeply") from None
+    """Parse a UTF-8 JSON file; a fault in its content names the file."""
+    try:
+        return json.load(_open_text(path))
+    except json.JSONDecodeError as exc:
+        raise CoreliteError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise CoreliteError(f"{path}: JSON nested too deeply") from None
 
 
-def _jsonl_records(path, field_name: str):
-    """Yield (line number, id, record[field_name]) for each JSONL record, in file order.
+def _jsonl_records(path, field_name: str, make) -> list:
+    """Build `make(id, record[field_name])` for each JSONL record, in file order.
 
     Lines end at LF (a CR before it is whitespace); blank lines are skipped.
     Every record must be a JSON object with a string id, unique within the
-    file, and the named field.
+    file, and the named field, which `make` checks: its errors name the line.
     """
     seen: set[str] = set()
+    records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -199,33 +226,21 @@ def _jsonl_records(path, field_name: str):
             if rec_id in seen:
                 raise CoreliteError(f"duplicate id {rec_id!r}")
             seen.add(rec_id)
-            yield lineno, rec_id, rec[field_name]
+            try:
+                records.append(make(rec_id, rec[field_name]))
+            except CoreliteError as exc:
+                raise CoreliteError(f"line {lineno}: {exc}") from None
+    return records
 
 
 def load_text_corpus(path) -> list[TextDocument]:
     """Read line-delimited JSON records {"id": ..., "text": ...} in file order."""
-    docs: list[TextDocument] = []
-    for lineno, doc_id, text in _jsonl_records(path, "text"):
-        if not isinstance(text, str):
-            raise CoreliteError(f"line {lineno}: text must be a string")
-        docs.append(TextDocument(doc_id, text))
-    return docs
+    return _jsonl_records(path, "text", TextDocument)
 
 
 def load_token_corpus(path) -> list[TokenSequence]:
-    """Read line-delimited JSON records {"id": ..., "tokens": [...]}, validating length."""
-    seqs: list[TokenSequence] = []
-    for lineno, seq_id, tokens in _jsonl_records(path, "tokens"):
-        if not isinstance(tokens, list) or not all(
-            isinstance(t, int) and not isinstance(t, bool) for t in tokens
-        ):
-            raise CoreliteError(f"line {lineno}: tokens must be a list of integers")
-        if len(tokens) != IMAGE_TOKEN_LEN:
-            raise CoreliteError(
-                f"id={seq_id}: length {len(tokens)}, expected {IMAGE_TOKEN_LEN}"
-            )
-        seqs.append(TokenSequence(seq_id, tuple(tokens)))
-    return seqs
+    """Read line-delimited JSON records {"id": ..., "tokens": [...]} in file order."""
+    return _jsonl_records(path, "tokens", TokenSequence)
 
 
 def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
@@ -247,10 +262,7 @@ def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
         )
     data = np.frombuffer(raw, dtype="<f4", offset=12).reshape(n, d)
 
-    ids_text = Path(ids_path).read_text(encoding="utf-8")
-    ids = ids_text.split("\n")
-    if ids and ids[-1] == "":
-        ids.pop()
+    ids = [line.removesuffix("\n") for line in _open_text(ids_path)]
     if len(ids) != n:
         raise CoreliteError(
             f"{ids_path}: {len(ids)} ids for {n} rows in {data_path}"
@@ -268,9 +280,9 @@ def save_embeddings(matrix: EmbeddingMatrix, data_path, ids_path) -> None:
     write_atomic(ids_path, "".join(f"{i}\n" for i in matrix.ids).encode("utf-8"))
 
 
-def _csv_rows(path, fh):
+def _csv_rows(path):
     """(line, row) per CSV row, `line` its last physical line; a bad row names it."""
-    reader = csv.reader(fh)
+    reader = csv.reader(_open_text(path, newline=""))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -282,45 +294,42 @@ def load_scores(path) -> ScoreTable:
     """Read a model,dataset,score[,count] CSV into a ScoreTable."""
     entries: dict[tuple[str, str], float] = {}
     counts: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = _csv_rows(path, fh)
+    rows = _csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise CoreliteError(f"{path}: empty file, expected a header") from None
+    if header[:3] != ["model", "dataset", "score"]:
+        raise CoreliteError(f"{path}: header must start with model,dataset,score")
+    has_count = len(header) > 3 and header[3] == "count"
+
+    def bad(msg: str) -> CoreliteError:  # the message for the current row
+        return CoreliteError(f"{path}: line {line}: {msg}")
+
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) < 3:
+            raise bad("expected at least 3 columns")
+        model, dataset = row[0], row[1]
         try:
-            _, header = next(rows)
-        except StopIteration:
-            raise CoreliteError(f"{path}: empty file, expected a header") from None
-        if header[:3] != ["model", "dataset", "score"]:
-            raise CoreliteError(
-                f"{path}: header must start with model,dataset,score"
-            )
-        has_count = len(header) > 3 and header[3] == "count"
-
-        def bad(msg: str) -> CoreliteError:  # the message for the current row
-            return CoreliteError(f"{path}: line {line}: {msg}")
-
-        for line, row in rows:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise bad("expected at least 3 columns")
-            model, dataset = row[0], row[1]
+            score = float(row[2])
+        except ValueError:
+            raise bad(f"unparseable score {row[2]!r}") from None
+        if not math.isfinite(score):
+            raise bad("score must be finite")
+        key = (model, dataset)
+        if key in entries:
+            raise bad(f"duplicate (model, dataset) pair {key}")
+        entries[key] = score
+        if has_count and len(row) > 3 and row[3] != "":
             try:
-                score = float(row[2])
+                count = int(row[3])
             except ValueError:
-                raise bad(f"unparseable score {row[2]!r}") from None
-            if not math.isfinite(score):
-                raise bad("score must be finite")
-            key = (model, dataset)
-            if key in entries:
-                raise bad(f"duplicate (model, dataset) pair {key}")
-            entries[key] = score
-            if has_count and len(row) > 3 and row[3] != "":
-                try:
-                    count = int(row[3])
-                except ValueError:
-                    raise bad(f"unparseable count {row[3]!r}") from None
-                if count <= 0:
-                    raise bad("count must be positive")
-                if count > _MAX_COUNT:
-                    raise bad("count must be at most 2**53")
-                counts[key] = count
+                raise bad(f"unparseable count {row[3]!r}") from None
+            if count <= 0:
+                raise bad("count must be positive")
+            if count > _MAX_COUNT:
+                raise bad("count must be at most 2**53")
+            counts[key] = count
     return ScoreTable(entries, counts)

@@ -203,14 +203,6 @@ def _text_windows(encoded: list[bytes], n: int) -> list[bytes]:
     return [doc[a:b] for a, b in zip(ends, ends[n:])]
 
 
-def _image_encoding(seq: TokenSequence) -> bytes:
-    if len(seq.tokens) != IMAGE_TOKEN_LEN:
-        raise CoreliteError(
-            f"id={seq.id}: length {len(seq.tokens)}, expected {IMAGE_TOKEN_LEN}"
-        )
-    return _IMAGE_IDS.pack(*seq.tokens)
-
-
 def _image_windows(encoded: bytes, n: int) -> list[bytes]:
     """Exact keys of a sequence's stride-1 windows: slices of its encoding."""
     return [encoded[i : i + 4 * n] for i in range(0, len(encoded) - 4 * n + 1, 4)]
@@ -271,8 +263,6 @@ def overlap_ratio(candidate, index: TextNGramIndex) -> float:
         raise CoreliteError(
             f"candidate has {len(candidate)} tokens, index n is {index.n}"
         )
-    if not index.meaningless_tokens:
-        return 0.0
     hits = sum(1 for t in candidate if t in index.meaningless_tokens)
     return hits / index.n
 
@@ -285,11 +275,13 @@ def scan_text(
     """Flag benchmark documents sharing a qualifying n-gram with training data.
 
     A window qualifies when it is present in the training table, is not
-    itself meaningless, and has overlap ratio below `ratio_threshold`; a
-    threshold above 1 turns the ratio filter off.
+    itself meaningless, and has overlap ratio below `ratio_threshold`, a
+    finite value above 0 (no ratio is below 0); above 1 turns the filter off.
     """
     if math.isnan(ratio_threshold):
         raise CoreliteError("ratio_threshold must not be NaN")
+    if not 0 < ratio_threshold < math.inf:
+        raise CoreliteError("ratio_threshold must be finite and above 0")
     encode = _Memo(_text_token_bytes).__getitem__
     # Hashed token keys are needed only for windows that hit the table, and a
     # leaked document's tokens sit in up to n of them: hash each one once.
@@ -322,7 +314,7 @@ def build_image_index(
     table: Counter = Counter()
     exact = set()
     for seq in train:
-        encoded = _image_encoding(seq)
+        encoded = _IMAGE_IDS.pack(*seq.tokens)
         table.update(_keys(_image_windows(encoded, n), hashed))
         exact.update(_keys([encoded], hashed))
     return ImageNGramIndex(n, hashed, dict(table), frozenset(exact))
@@ -333,7 +325,7 @@ def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapRep
     per_instance: dict[str, InstanceOverlap] = {}
     hits = []
     for seq in bench:
-        encoded = _image_encoding(seq)
+        encoded = _IMAGE_IDS.pack(*seq.tokens)
         keys = _keys(_image_windows(encoded, index.n), index.hashed)
         matched = sum(1 for key in keys if key in index.table)
         (whole,) = _keys([encoded], index.hashed)

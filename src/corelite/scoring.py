@@ -110,15 +110,17 @@ def pearson(x, y) -> float:
         raise CoreliteError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 2:
         raise CoreliteError("correlation needs at least 2 points")
+    if x.min() == x.max() or y.min() == y.max():  # exact, unlike a mean's deviations
+        raise CoreliteError("undefined correlation: constant input")
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite sum
         xc = x - x.mean()
         yc = y - y.mean()
         sxy, sxx, syy = float(xc @ yc), float(xc @ xc), float(yc @ yc)
     denom = math.sqrt(sxx * syy)
-    if denom == 0.0:
-        raise CoreliteError("undefined correlation: constant input")
     if not (math.isfinite(sxy) and math.isfinite(denom)):
         raise CoreliteError("undefined correlation: sums not finite in float64")
+    if min(sxx, syy, sxx * syy) < sys.float_info.min:  # subnormal or 0
+        raise CoreliteError("undefined correlation: sums underflow float64")
     return sxy / denom
 
 

@@ -553,7 +553,7 @@ class TestErrorLines:
              f"--ratio-threshold={value}", "--report", str(tmp_path / "r.json")],
             ["train.jsonl", "bench.jsonl", "idx.bin", "idx.bin.manifest.json"],
         )
-        assert "--ratio-threshold must be finite" in err
+        assert "ratio_threshold must be finite and above 0" in err
 
     def test_index_with_freq_threshold_zero(self, tmp_path, capsys):
         # Every key of such an index is meaningless, so a verbatim copy scans clean.
@@ -572,6 +572,161 @@ class TestErrorLines:
             ["train.jsonl", "idx.bin", "idx.bin.manifest.json"],
         )
         assert f"{idx}: freq_threshold must be in 1..4294967295" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_ratio_threshold_not_above_zero(self, tmp_path, capsys, value):
+        # No overlap ratio is below 0, so a verbatim copy would scan clean.
+        body = " ".join(f"w{j}" for j in range(10))
+        train = write_jsonl(tmp_path / "train.jsonl", [{"id": "t", "text": body}])
+        idx = tmp_path / "idx.bin"
+        assert main(["index-text", "--train", str(train), "--out", str(idx)]) == 0
+        capsys.readouterr()
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["scan-text", "--index", str(idx), "--bench", str(train),
+             f"--ratio-threshold={value}", "--report", str(tmp_path / "r.json")],
+            ["train.jsonl", "idx.bin", "idx.bin.manifest.json"],
+        )
+        assert "ratio_threshold must be finite and above 0" in err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"", "{path}: empty file, expected a header"),
+            (b"model,data,score\nm,a,1\n", "{path}: header must start with"),
+            (b"model,dataset,score\nm,a\n", "{path}: line 2: expected at least 3"),
+            (b"model,dataset,score\nm,a,inf\n", "{path}: line 2: score must be finite"),
+            (b"model,dataset,score,count\nm,a,1,abc\n",
+             "{path}: line 2: unparseable count 'abc'"),
+            (b"model,dataset,score,count\nm,a,1,0\n",
+             "{path}: line 2: count must be positive"),
+            (b"model,dataset,score\n", "score table is empty"),
+            (b"model,dataset,score\r\nm,a,1\r\nm\xff,b,1\r\n",
+             "{path}: line 3: invalid UTF-8"),
+        ],
+        ids=["empty", "header", "two-columns", "score-inf", "count-abc", "count-0",
+             "header-only", "utf8"],
+    )
+    def test_bad_scores_csv(self, tmp_path, capsys, content, message):
+        scores = tmp_path / "s.csv"
+        scores.write_bytes(content)
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["aggregate", "--scores", str(scores), "--out", str(tmp_path / "agg.json")],
+            ["s.csv"],
+        )
+        assert message.format(path=scores) in err
+
+    K1 = ["--k", "1"]
+
+    @pytest.mark.parametrize(
+        "data,ids,size,message",
+        [
+            (b"EMB1\x01\x00", b"", K1, "{data}: truncated header"),
+            (b"EMB1\x01\x00\x00\x00\x00\x00\x00\x00", b"a\n", K1,
+             "{data}: dimension must be positive"),
+            (None, b"a\na\n", K1, "embedding ids must be unique"),
+            (None, b"a\n\n", K1, "row 1: empty embedding id"),
+            (None, b"a\n\xff\n", K1, "{ids}: line 2: invalid UTF-8"),
+            (None, b"a\nb\n", ["--dataset", "nope"],
+             "no default lite size for dataset 'nope'"),
+        ],
+        ids=["short-header", "d-0", "repeated-ids", "empty-id", "utf8-ids",
+             "unknown-dataset"],
+    )
+    def test_bad_embeddings(self, tmp_path, capsys, data, ids, size, message):
+        data_path, ids_path = tmp_path / "e.bin", tmp_path / "e.ids"
+        if data is None:  # a valid 2 x 1 matrix
+            data = b"EMB1" + bytes([2, 0, 0, 0, 1, 0, 0, 0]) + bytes(8)
+        data_path.write_bytes(data)
+        ids_path.write_bytes(ids)
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["select", "--embeddings", str(data_path), "--ids", str(ids_path),
+             *size, "--out", str(tmp_path / "sel.json")],
+            ["e.bin", "e.ids"],
+        )
+        assert message.format(data=data_path, ids=ids_path) in err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"{", "{path}: invalid JSON (Expecting property name"),
+            (b'{"center_ids": [\n"\xff"]}', "{path}: line 2: invalid UTF-8"),
+        ],
+        ids=["json", "utf8"],
+    )
+    def test_unreadable_selection(self, tmp_path, capsys, content, message):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("model,dataset,score\nm,a,1.0\n")
+        sel = tmp_path / "sel.json"
+        sel.write_bytes(content)
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["gap", "--scores", str(scores), "--selection", str(sel),
+             "--out", str(tmp_path / "g.json")],
+            ["scores.csv", "sel.json"],
+        )
+        assert message.format(path=sel) in err
+
+    def test_scales_not_utf8(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,dataset,score\nm1,d,40.0\n")
+        scales = tmp_path / "scales.json"
+        scales.write_bytes(b'{"d\xff": {"min": 0, "max": 1}}')
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["aggregate", "--scores", str(scores), "--scales", str(scales),
+             "--out", str(tmp_path / "agg.json")],
+            ["s.csv", "scales.json"],
+        )
+        assert f"{scales}: line 1: invalid UTF-8" in err
+
+    def test_jsonl_line_not_json(self, tmp_path, capsys):
+        train = tmp_path / "train.jsonl"
+        train.write_text('{"id": "a", "text": "ok"}\n{"id": "b", "text": \n')
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["index-text", "--train", str(train), "--out", str(tmp_path / "i")],
+            ["train.jsonl"],
+        )
+        assert "line 2: invalid JSON" in err
+
+    def test_jsonl_record_rule_names_line(self, tmp_path, capsys):
+        train = write_jsonl(
+            tmp_path / "train.jsonl",
+            [{"id": "a", "tokens": list(range(32))}, {"id": "", "tokens": [0] * 32}],
+        )
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["index-image", "--train", str(train), "--out", str(tmp_path / "i")],
+            ["train.jsonl"],
+        )
+        assert err == "corelite: error: line 2: sequence id must be non-empty\n"
+
+    @pytest.mark.parametrize("fault", ["text-index", "version-2"])
+    def test_bad_image_index(self, tmp_path, capsys, fault):
+        train = write_jsonl(
+            tmp_path / "train.jsonl",
+            [{"id": "t", "text": "a b c d e f g h", "tokens": list(range(32))}],
+        )
+        idx = tmp_path / "idx.bin"
+        command = "index-text" if fault == "text-index" else "index-image"
+        assert main([command, "--train", str(train), "--out", str(idx)]) == 0
+        capsys.readouterr()
+        if fault == "version-2":
+            data = bytearray(idx.read_bytes())
+            data[4:6] = (2).to_bytes(2, "little")  # the u16 version after the magic
+            idx.write_bytes(data)
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["scan-image", "--index", str(idx), "--bench", str(train),
+             "--report", str(tmp_path / "r.json")],
+            ["train.jsonl", "idx.bin", "idx.bin.manifest.json"],
+        )
+        expected = {"text-index": f"{idx}: not an image index",
+                    "version-2": f"{idx}: unsupported index version 2"}
+        assert expected[fault] in err
 
     def test_internal_key_error_is_not_a_data_error(self, tmp_path, monkeypatch):
         def broken(args):
@@ -600,15 +755,22 @@ with open(sys.argv[2], "w") as fh:
 """
 
 
-def _import_probe(cwd, runs):
-    src = str(Path(__file__).resolve().parents[1] / "src")
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
-                               if env.get("PYTHONPATH") else "")
+    env["PYTHONPATH"] = str(REPO / "src") + (os.pathsep + env["PYTHONPATH"]
+                                             if env.get("PYTHONPATH") else "")
+    return env
+
+
+def _import_probe(cwd, runs):
     result = cwd / "imports.json"
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs), str(result)],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(result.read_text())
@@ -641,6 +803,18 @@ class TestNumpyStaysOut:
         runs = [["select", "--embeddings", str(data_path), "--ids", str(ids_path),
                  "--k", "3", "--out", "sel.json"]]
         assert _import_probe(tmp_path, runs) == [["select", True]]
+
+
+def test_demo_pipeline(tmp_path):
+    """The README's demo runs end to end and writes strict JSON outputs."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "demo_pipeline.py"), str(tmp_path)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ("selection.json", "gap.json", "text_report.json",
+                 "image_report.json", "aggregate.json", "correlation.json"):
+        json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
 
 
 def _reject_constant(name):

@@ -2,6 +2,7 @@ import ast
 import errno
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from corelite import CoreliteError
 from corelite.corpus import (
     EmbeddingMatrix,
     ScoreTable,
+    TextDocument,
+    TokenSequence,
     tokenize_text,
     load_embeddings,
     load_scores,
@@ -103,6 +106,38 @@ class TestTokenCorpus:
         p = self._write(tmp_path, [{"id": "x", "tokens": [-1] + list(range(31))}])
         with pytest.raises(CoreliteError, match="out of range"):
             load_token_corpus(p)
+
+
+class TestRecordRules:
+    """A record type checks its own fields; the JSONL reader adds the line."""
+
+    @pytest.mark.parametrize(
+        "field,record,message",
+        [
+            ("text", {"id": "", "text": "x"}, "document id must be non-empty"),
+            ("text", {"id": "a", "text": 7}, "text must be a string"),
+            ("tokens", {"id": "a", "tokens": list(range(31))},
+             "id=a: length 31, expected 32"),
+            ("tokens", {"id": "a", "tokens": [1 << 32] + list(range(31))},
+             "id=a: token id 4294967296 out of range"),
+        ],
+        ids=["empty-id", "text-not-str", "wrong-length", "token-range"],
+    )
+    def test_type_rule_and_line(self, tmp_path, field, record, message):
+        make, loader, good = {
+            "text": (TextDocument, load_text_corpus, "fine"),
+            "tokens": (TokenSequence, load_token_corpus, list(range(32))),
+        }[field]
+        with pytest.raises(CoreliteError, match=f"^{re.escape(message)}$"):
+            make(record["id"], record[field])
+        p = tmp_path / "c.jsonl"
+        lines = [json.dumps({"id": "ok", field: good}), "", json.dumps(record)]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CoreliteError, match=f"^line 3: {re.escape(message)}$"):
+            loader(p)
+
+    def test_tokens_stored_as_tuple(self):
+        assert TokenSequence("a", list(range(32))).tokens == tuple(range(32))
 
 
 class TestJsonlRecords:

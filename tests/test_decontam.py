@@ -178,6 +178,14 @@ class TestScanText:
         with pytest.raises(CoreliteError, match="ratio_threshold must not be NaN"):
             scan_text([doc("b", body)], index, ratio_threshold=float("nan"))
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("inf"), float("-inf")])
+    def test_threshold_not_finite_and_positive_rejected(self, threshold):
+        # No overlap ratio is below 0, so at 0 a verbatim copy would pass as clean.
+        body = "alpha beta gamma delta epsilon zeta eta theta iota"
+        index = build_text_index([doc("t", body)])
+        with pytest.raises(CoreliteError, match="must be finite and above 0"):
+            scan_text([doc("b", body)], index, ratio_threshold=threshold)
+
     def test_threshold_monotonicity(self):
         boiler = "m0 m1 m2 m3 m4 m5 m6 m7"
         mixed = "m0 m1 m2 m3 m4 m5 q0 q1"  # 6 of 8 tokens meaningless
@@ -188,9 +196,9 @@ class TestScanText:
         bench = [doc("b_mix", mixed), doc("b_fresh", fresh)]
         pcts = [
             scan_text(bench, index, ratio_threshold=t).text_overlap_pct
-            for t in (0.0, 0.5, 0.75, 0.76, 1.01)
+            for t in (0.5, 0.75, 0.76, 1.01)
         ]
-        assert pcts == [0.0, 50.0, 50.0, 100.0, 100.0]
+        assert pcts == [50.0, 50.0, 100.0, 100.0]
         assert pcts == sorted(pcts)
 
 

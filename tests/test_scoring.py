@@ -198,6 +198,20 @@ class TestPearson:
         with pytest.raises(CoreliteError, match="undefined correlation: sums not"):
             pearson(x, y)
 
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            ([1e-160, 3e-160, 2e-160], [1e-160, 3e-160, 2e-160]),  # product is 0
+            ([1e-170, 3e-170, 2e-170], [1e-170, 3e-170, 2e-170]),  # each sum is 0
+            ([1e-160, 3e-160, 2e-160], [1.0, 2.0, 3.0]),  # x's sum is subnormal
+        ],
+        ids=["product", "sums", "subnormal"],
+    )
+    def test_underflow_undefined(self, x, y):
+        # Not constant input, and a subnormal sum has too few bits for a value.
+        with pytest.raises(CoreliteError, match="undefined correlation: sums underflow"):
+            pearson(x, y)
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 100), st.integers(0, 2**32 - 1))
     def test_matches_oracle_and_bounded(self, n, bits):
@@ -313,6 +327,17 @@ class TestCorrelateLite:
         assert result.per_dataset["a"] is None
         assert "constant input" in result.undefined_reason["a"]
         assert result.sample_count["a"] == 3
+
+    @pytest.mark.parametrize(
+        "value,models", [(0.1, 3), (0.7, 3), (2.675, 3), (2.675, 7)]
+    )
+    def test_constant_lite_scores_off_their_mean_undefined(self, value, models):
+        # Their float64 mean is not exactly `value`, so the deviations are not 0.
+        full = ScoreTable({(f"m{i}", "a"): float(i + 1) for i in range(models)})
+        lite = ScoreTable({(f"m{i}", "a"): value for i in range(models)})
+        result = correlate_lite(full, lite)
+        assert result.per_dataset["a"] is None
+        assert result.undefined_reason["a"] == "undefined correlation: constant input"
 
     def test_overflow_undefined(self):
         full = ScoreTable(

@@ -104,7 +104,9 @@ def cmd_gap(args) -> tuple[dict, dict]:
     subset = []
     for inst_id in center_ids:
         if inst_id not in positions:
-            raise CoreliteError(f"selected id {inst_id!r} not present in scores")
+            raise CoreliteError(
+                f"{args.selection}: selected id {inst_id!r} not present in scores"
+            )
         subset.append(positions[inst_id])
     gap = coreset.subset_gap(values, subset)
     sizes = {"subset_size": len(subset), "total": len(values)}

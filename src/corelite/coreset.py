@@ -12,7 +12,6 @@ import numpy as np
 
 from . import CoreliteError
 from .corpus import EmbeddingMatrix
-from .rng import uniform_index
 
 # Default lite-set sizes per dataset. Datasets at full size are kept whole.
 LITE_K_DEFAULTS: dict[str, int] = {
@@ -70,6 +69,24 @@ def normalize_rows(block: np.ndarray) -> np.ndarray:
     return np.divide(block, norms, out=np.empty(block.shape, np.float32))
 
 
+def uniform_index(seed: int, n: int) -> int:
+    """Draw uniformly from 0..n-1 (n >= 1) with SplitMix64 seeded by `seed`.
+
+    Fully specified, so seeded draws reproduce across platforms. Outputs in
+    the final partial bucket are rejected, so the draw is exactly uniform.
+    """
+    mask = (1 << 64) - 1
+    bound = (1 << 64) - ((1 << 64) % n)
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        if z < bound:
+            return z % n
+
+
 def _check_k(n: int, k: int) -> None:
     if n == 0:
         raise CoreliteError("cannot select from an empty matrix")
@@ -91,13 +108,11 @@ def k_center_greedy(
     k: int,
     seed: int = 0,
     workers: int = 1,
-    first_center: int | None = None,
 ) -> CoresetSelection:
     """Greedy farthest-first k-center selection.
 
-    The first center is drawn uniformly from a SplitMix64 stream seeded by
-    `seed` (or pinned via `first_center`); each later center is the point
-    farthest from the current centers, ties broken by lowest index.
+    The first center is `uniform_index(seed, n)`; each later center is the
+    point farthest from the current centers, ties broken by lowest index.
 
     `workers` is accepted for compatibility and ignored: numpy's BLAS
     already spreads each distance GEMV over the available cores.
@@ -107,13 +122,7 @@ def k_center_greedy(
     X = np.ascontiguousarray(emb.data, dtype=np.float64)
     sq_norms = np.einsum("ij,ij->i", X, X)
 
-    if first_center is None:
-        first = uniform_index(seed, n)
-    else:
-        if not 0 <= first_center < n:
-            raise CoreliteError(f"first_center out of range: {first_center}")
-        first = first_center
-
+    first = uniform_index(seed, n)
     # min_dist holds each point's distance to its nearest center, and -inf
     # at the centers themselves (np.minimum keeps it), so argmax never picks
     # a center twice.

@@ -89,9 +89,7 @@ class EmbeddingMatrix:
         if arr.shape[1] <= 0:
             raise CoreliteError("embedding dimension must be positive")
         if len(self.ids) != arr.shape[0]:
-            raise CoreliteError(
-                f"id count {len(self.ids)} does not match row count {arr.shape[0]}"
-            )
+            raise CoreliteError(f"{len(self.ids)} ids for {arr.shape[0]} rows")
         if "" in self.ids:
             raise CoreliteError(f"row {self.ids.index('')}: empty embedding id")
         if len(set(self.ids)) != len(self.ids):
@@ -177,6 +175,8 @@ def _open_text(path, newline=None) -> io.StringIO:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise CoreliteError(f"{path}: line {line}: invalid UTF-8") from None
+    if text.startswith("\ufeff"):
+        raise CoreliteError(f"{path}: starts with a UTF-8 byte-order mark")
     return io.StringIO(text, newline=newline)
 
 
@@ -195,7 +195,7 @@ def _jsonl_records(path, field_name: str, make) -> list:
 
     Lines end at LF (a CR before it is whitespace); blank lines are skipped.
     Every record must be a JSON object with a string id, unique within the
-    file, and the named field, which `make` checks: its errors name the line.
+    file, and the named field, which `make` checks. Errors name file and line.
     """
     seen: set[str] = set()
     records = []
@@ -203,33 +203,31 @@ def _jsonl_records(path, field_name: str, make) -> list:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CoreliteError(
-                    f"line {lineno}: invalid UTF-8 ({exc.reason})"
-                ) from None
-            if not line.strip():
-                continue
-            try:
+                if not line.strip():
+                    continue
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CoreliteError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            except RecursionError:
-                raise CoreliteError(f"line {lineno}: JSON nested too deeply") from None
-            if not isinstance(rec, dict):
-                raise CoreliteError(f"line {lineno}: expected a JSON object")
-            for name in ("id", field_name):
-                if name not in rec:
-                    raise CoreliteError(f"line {lineno}: missing field {name}")
-            rec_id = rec["id"]
-            if not isinstance(rec_id, str):
-                raise CoreliteError(f"line {lineno}: id must be a string")
-            if rec_id in seen:
-                raise CoreliteError(f"duplicate id {rec_id!r}")
-            seen.add(rec_id)
-            try:
+                if not isinstance(rec, dict):
+                    raise CoreliteError("expected a JSON object")
+                for name in ("id", field_name):
+                    if name not in rec:
+                        raise CoreliteError(f"missing field {name}")
+                rec_id = rec["id"]
+                if not isinstance(rec_id, str):
+                    raise CoreliteError("id must be a string")
+                if rec_id in seen:
+                    raise CoreliteError(f"duplicate id {rec_id!r}")
+                seen.add(rec_id)
                 records.append(make(rec_id, rec[field_name]))
+                continue
+            except UnicodeDecodeError as exc:
+                message = f"invalid UTF-8 ({exc.reason})"
+            except json.JSONDecodeError as exc:
+                message = f"invalid JSON ({exc.msg})"
+            except RecursionError:
+                message = "JSON nested too deeply"
             except CoreliteError as exc:
-                raise CoreliteError(f"line {lineno}: {exc}") from None
+                message = str(exc)
+            raise CoreliteError(f"{path}: line {lineno}: {message}") from None
     return records
 
 
@@ -244,7 +242,10 @@ def load_token_corpus(path) -> list[TokenSequence]:
 
 
 def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
-    """Read the EMB1 binary matrix plus its sidecar ids file."""
+    """Read the EMB1 binary matrix plus its sidecar ids file.
+
+    This checks the format; `EmbeddingMatrix` checks the content, naming both files.
+    """
     import numpy as np
 
     raw = Path(data_path).read_bytes()
@@ -253,8 +254,6 @@ def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
     if len(raw) < 12:
         raise CoreliteError(f"{data_path}: truncated header")
     n, d = struct.unpack_from("<II", raw, 4)
-    if d == 0:
-        raise CoreliteError(f"{data_path}: dimension must be positive")
     expected = 12 + 4 * n * d
     if len(raw) != expected:
         raise CoreliteError(
@@ -263,11 +262,10 @@ def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
     data = np.frombuffer(raw, dtype="<f4", offset=12).reshape(n, d)
 
     ids = [line.removesuffix("\n") for line in _open_text(ids_path)]
-    if len(ids) != n:
-        raise CoreliteError(
-            f"{ids_path}: {len(ids)} ids for {n} rows in {data_path}"
-        )
-    return EmbeddingMatrix(tuple(ids), data)
+    try:
+        return EmbeddingMatrix(tuple(ids), data)
+    except CoreliteError as exc:
+        raise CoreliteError(f"{data_path}, {ids_path}: {exc}") from None
 
 
 def save_embeddings(matrix: EmbeddingMatrix, data_path, ids_path) -> None:

@@ -15,25 +15,29 @@ DEFAULT_SCALE = (0.0, 100.0)
 
 
 def load_scales(path) -> ScaleSpec:
-    """Read a {"<dataset>": {"min": ..., "max": ...}} JSON config."""
+    """Read a {"<dataset>": {"min": ..., "max": ...}} JSON config; errors name it."""
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise CoreliteError(f"{path}: expected a JSON object of dataset scales")
-    scales: dict[str, tuple[float, float]] = {}
-    for dataset, spec in raw.items():
-        if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
-            raise CoreliteError(f"scale for {dataset!r} must have min and max")
-        bounds = (spec["min"], spec["max"])
-        if not all(
-            isinstance(b, (int, float)) and not isinstance(b, bool)
-            and abs(b) <= sys.float_info.max  # false for inf and nan
-            for b in bounds
-        ):
-            raise CoreliteError(
-                f"scale for {dataset!r}: min and max must be numbers (finite, unquoted)"
-            )
-        scales[dataset] = (float(bounds[0]), float(bounds[1]))
-    return ScaleSpec(scales)
+    try:
+        if not isinstance(raw, dict):
+            raise CoreliteError("expected a JSON object of dataset scales")
+        scales: dict[str, tuple[float, float]] = {}
+        for dataset, spec in raw.items():
+            if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
+                raise CoreliteError(f"scale for {dataset!r} must have min and max")
+            bounds = (spec["min"], spec["max"])
+            if not all(
+                isinstance(b, (int, float)) and not isinstance(b, bool)
+                and abs(b) <= sys.float_info.max  # false for inf and nan
+                for b in bounds
+            ):
+                raise CoreliteError(
+                    f"scale for {dataset!r}: min and max must be numbers"
+                    " (finite, unquoted)"
+                )
+            scales[dataset] = (float(bounds[0]), float(bounds[1]))
+        return ScaleSpec(scales)
+    except CoreliteError as exc:
+        raise CoreliteError(f"{path}: {exc}") from None
 
 
 def resolve_scale(scales: ScaleSpec, dataset: str, raw: float) -> tuple[float, float]:

@@ -603,9 +603,11 @@ class TestErrorLines:
             (b"model,dataset,score\n", "score table is empty"),
             (b"model,dataset,score\r\nm,a,1\r\nm\xff,b,1\r\n",
              "{path}: line 3: invalid UTF-8"),
+            (b"\xef\xbb\xbfmodel,dataset,score\nm,a,1\n",
+             "{path}: starts with a UTF-8 byte-order mark"),
         ],
         ids=["empty", "header", "two-columns", "score-inf", "count-abc", "count-0",
-             "header-only", "utf8"],
+             "header-only", "utf8", "bom"],
     )
     def test_bad_scores_csv(self, tmp_path, capsys, content, message):
         scores = tmp_path / "s.csv"
@@ -624,15 +626,20 @@ class TestErrorLines:
         [
             (b"EMB1\x01\x00", b"", K1, "{data}: truncated header"),
             (b"EMB1\x01\x00\x00\x00\x00\x00\x00\x00", b"a\n", K1,
-             "{data}: dimension must be positive"),
-            (None, b"a\na\n", K1, "embedding ids must be unique"),
-            (None, b"a\n\n", K1, "row 1: empty embedding id"),
+             "{data}, {ids}: embedding dimension must be positive"),
+            (None, b"a\na\n", K1, "{data}, {ids}: embedding ids must be unique"),
+            (None, b"a\n\n", K1, "{data}, {ids}: row 1: empty embedding id"),
+            (None, b"a\n", K1, "{data}, {ids}: 1 ids for 2 rows"),
+            (b"EMB1" + bytes([2, 0, 0, 0, 1, 0, 0, 0]) + bytes(4) + b"\x00\x00\xc0\x7f",
+             b"a\nb\n", K1, "{data}, {ids}: row 1: non-finite value"),
             (None, b"a\n\xff\n", K1, "{ids}: line 2: invalid UTF-8"),
+            (None, b"\xef\xbb\xbfa\nb\n", K1,
+             "{ids}: starts with a UTF-8 byte-order mark"),
             (None, b"a\nb\n", ["--dataset", "nope"],
              "no default lite size for dataset 'nope'"),
         ],
-        ids=["short-header", "d-0", "repeated-ids", "empty-id", "utf8-ids",
-             "unknown-dataset"],
+        ids=["short-header", "d-0", "repeated-ids", "empty-id", "id-count", "nan",
+             "utf8-ids", "bom-ids", "unknown-dataset"],
     )
     def test_bad_embeddings(self, tmp_path, capsys, data, ids, size, message):
         data_path, ids_path = tmp_path / "e.bin", tmp_path / "e.ids"
@@ -653,8 +660,9 @@ class TestErrorLines:
         [
             (b"{", "{path}: invalid JSON (Expecting property name"),
             (b'{"center_ids": [\n"\xff"]}', "{path}: line 2: invalid UTF-8"),
+            (b'{"center_ids": ["zz"]}', "{path}: selected id 'zz' not present in scores"),
         ],
-        ids=["json", "utf8"],
+        ids=["json", "utf8", "unknown-id"],
     )
     def test_unreadable_selection(self, tmp_path, capsys, content, message):
         scores = tmp_path / "scores.csv"
@@ -668,6 +676,28 @@ class TestErrorLines:
             ["scores.csv", "sel.json"],
         )
         assert message.format(path=sel) in err
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ('{"a": 1}', "scale for 'a' must have min and max"),
+            ('{"a": {"min": 5, "max": 1}}',
+             "scale for 'a': max must exceed min by a finite amount"),
+        ],
+        ids=["no-bounds", "max-below-min"],
+    )
+    def test_bad_scale_names_file(self, tmp_path, capsys, content, message):
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,dataset,score\nm1,a,40.0\n")
+        scales = tmp_path / "scales.json"
+        scales.write_text(content)
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["aggregate", "--scores", str(scores), "--scales", str(scales),
+             "--out", str(tmp_path / "agg.json")],
+            ["s.csv", "scales.json"],
+        )
+        assert err == f"corelite: error: {scales}: {message}\n"
 
     def test_scales_not_utf8(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
@@ -692,6 +722,18 @@ class TestErrorLines:
         )
         assert "line 2: invalid JSON" in err
 
+    def test_jsonl_repeated_id_names_line(self, tmp_path, capsys):
+        train = write_jsonl(
+            tmp_path / "train.jsonl",
+            [{"id": i, "text": "x"} for i in ("a", "b", "a")],
+        )
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["index-text", "--train", str(train), "--out", str(tmp_path / "i")],
+            ["train.jsonl"],
+        )
+        assert err == f"corelite: error: {train}: line 3: duplicate id 'a'\n"
+
     def test_jsonl_record_rule_names_line(self, tmp_path, capsys):
         train = write_jsonl(
             tmp_path / "train.jsonl",
@@ -702,7 +744,9 @@ class TestErrorLines:
             ["index-image", "--train", str(train), "--out", str(tmp_path / "i")],
             ["train.jsonl"],
         )
-        assert err == "corelite: error: line 2: sequence id must be non-empty\n"
+        assert err == (
+            f"corelite: error: {train}: line 2: sequence id must be non-empty\n"
+        )
 
     @pytest.mark.parametrize("fault", ["text-index", "version-2"])
     def test_bad_image_index(self, tmp_path, capsys, fault):

@@ -133,7 +133,8 @@ class TestRecordRules:
         p = tmp_path / "c.jsonl"
         lines = [json.dumps({"id": "ok", field: good}), "", json.dumps(record)]
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CoreliteError, match=f"^line 3: {re.escape(message)}$"):
+        prefix = re.escape(f"{p}: line 3: ")
+        with pytest.raises(CoreliteError, match=f"^{prefix}{re.escape(message)}$"):
             loader(p)
 
     def test_tokens_stored_as_tuple(self):

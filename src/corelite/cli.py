@@ -101,14 +101,15 @@ def cmd_gap(args) -> tuple[dict, dict]:
         isinstance(i, str) for i in center_ids
     ):
         raise CoreliteError(f"{args.selection}: expected a center_ids list of strings")
-    subset = []
+    if not center_ids:
+        raise CoreliteError(f"{args.selection}: center_ids is empty")
+    subset = {}
     for inst_id in center_ids:
-        if inst_id not in positions:
-            raise CoreliteError(
-                f"{args.selection}: selected id {inst_id!r} not present in scores"
-            )
-        subset.append(positions[inst_id])
-    gap = coreset.subset_gap(values, subset)
+        if inst_id in subset or inst_id not in positions:
+            why = "appears more than once" if inst_id in subset else "not present in scores"
+            raise CoreliteError(f"{args.selection}: selected id {inst_id!r} {why}")
+        subset[inst_id] = positions[inst_id]
+    gap = coreset.subset_gap(values, list(subset.values()))
     sizes = {"subset_size": len(subset), "total": len(values)}
     _write_json(args.out, {**asdict(gap), **sizes})
     print(f"gap={gap.gap}")
@@ -129,10 +130,6 @@ def cmd_scan_text(args) -> tuple[dict, dict]:
     index = decontam.load_index(args.index)
     if not isinstance(index, decontam.TextNGramIndex):
         raise CoreliteError(f"{args.index}: not a text index")
-    if args.n is not None and args.n != index.n:
-        raise CoreliteError(
-            f"index was built with n={index.n}, scan requested n={args.n}"
-        )
     bench = load_text_corpus(args.bench)
     report = decontam.scan_text(bench, index, ratio_threshold=args.ratio_threshold)
     _write_json(args.out, asdict(report))
@@ -153,7 +150,10 @@ def cmd_scan_image(args) -> tuple[dict, dict]:
     if not isinstance(index, decontam.ImageNGramIndex):
         raise CoreliteError(f"{args.index}: not an image index")
     bench = load_token_corpus(args.bench)
-    report = decontam.scan_image(bench, index)
+    try:  # the bench was checked as it loaded, so a fault here is the index's
+        report = decontam.scan_image(bench, index)
+    except CoreliteError as exc:
+        raise CoreliteError(f"{args.index}: {exc}") from None
     _write_json(args.out, asdict(report))
     print(f"image_overlap_pct={report.image_overlap_pct}")
     return {"n": index.n}, {"index": args.index, "bench": args.bench}
@@ -201,10 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="number of centers (must be ≥ 1)")
     size.add_argument("--dataset", help="use the default lite size for this dataset")
     p.add_argument("--seed", type=int, default=0)
-    norm = p.add_mutually_exclusive_group()
-    norm.add_argument("--normalize", dest="normalize", action="store_true",
-                      default=True)
-    norm.add_argument("--no-normalize", dest="normalize", action="store_false")
+    p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_select)
 
@@ -225,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-text", help="scan a benchmark for text overlap")
     p.add_argument("--index", required=True)
     p.add_argument("--bench", required=True)
-    p.add_argument("--n", type=_positive_int, help="assert the index n")
     p.add_argument("--ratio-threshold", type=float, default=0.75)
     p.add_argument("--report", dest="out", metavar="REPORT", required=True)
     p.set_defaults(func=cmd_scan_text)

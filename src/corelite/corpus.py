@@ -92,6 +92,9 @@ class EmbeddingMatrix:
             raise CoreliteError(f"{len(self.ids)} ids for {arr.shape[0]} rows")
         if "" in self.ids:
             raise CoreliteError(f"row {self.ids.index('')}: empty embedding id")
+        for row, inst_id in enumerate(self.ids):  # the ids file is line-based
+            if "\r" in inst_id or "\n" in inst_id:
+                raise CoreliteError(f"row {row}: embedding id holds CR or LF")
         if len(set(self.ids)) != len(self.ids):
             raise CoreliteError("embedding ids must be unique")
         bad = ~np.isfinite(arr)

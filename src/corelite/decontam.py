@@ -148,12 +148,6 @@ class OverlapReport:
     text_overlap_pct: float
     image_overlap_pct: float
 
-    def category_counts(self) -> dict[ContaminationCategory, int]:
-        counts = {cat: 0 for cat in ContaminationCategory}
-        for inst in self.per_instance.values():
-            counts[inst.category] += 1
-        return counts
-
 
 def _hit_pct(hits: list[bool]) -> float:
     """Percentage of scanned documents with a hit, one flag per document."""
@@ -329,10 +323,13 @@ def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapRep
         keys = _keys(_image_windows(encoded, index.n), index.hashed)
         matched = sum(1 for key in keys if key in index.table)
         (whole,) = _keys([encoded], index.hashed)
+        exact = whole in index.exact_sequences
+        if exact and not matched:
+            raise CoreliteError(
+                f"sequence {seq.id!r} is indexed whole but none of its windows is"
+            )
         hits.append(matched > 0)
-        per_instance[seq.id] = InstanceOverlap(
-            False, matched > 0, whole in index.exact_sequences, matched
-        )
+        per_instance[seq.id] = InstanceOverlap(False, matched > 0, exact, matched)
     pct = _hit_pct(hits)
     return OverlapReport(per_instance, text_overlap_pct=0.0, image_overlap_pct=pct)
 

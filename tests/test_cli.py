@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from corelite.cli import main
-from corelite.corpus import EmbeddingMatrix, save_embeddings
+from corelite.corpus import EmbeddingMatrix, TokenSequence, save_embeddings
+from corelite.decontam import ImageNGramIndex, build_image_index, save_index
 
 
 @pytest.fixture
@@ -117,6 +118,21 @@ class TestSelect:
         }
         assert set(manifest["input_digests"]) == {"embeddings", "ids"}
 
+    @pytest.mark.parametrize(
+        "flags,normalize",
+        [(["--normalize"], True), (["--normalize", "--no-normalize"], False),
+         (["--no-normalize", "--normalize"], True)],
+    )
+    def test_normalize_last_flag_wins(self, tmp_path, emb_files, flags, normalize):
+        data_path, ids_path = emb_files
+        out = tmp_path / "sel.json"
+        assert main([
+            "select", "--embeddings", str(data_path), "--ids", str(ids_path),
+            "--k", "3", *flags, "--out", str(out),
+        ]) == 0
+        manifest = json.loads((tmp_path / "sel.json.manifest.json").read_text())
+        assert manifest["parameters"]["normalize"] is normalize
+
 
 class TestGap:
     def test_gap_pipeline(self, tmp_path, emb_files, capsys):
@@ -188,14 +204,16 @@ class TestTextScan:
         assert rc == 0
         assert "text_overlap_pct=0.0" in capsys.readouterr().out
 
-    def test_n_mismatch(self, tmp_path, capsys):
+    def test_scan_takes_n_from_index(self, tmp_path, capsys):
         train, bench = self._corpora(tmp_path)
         idx = tmp_path / "idx.bin"
         main(["index-text", "--train", str(train), "--n", "8", "--out", str(idx)])
-        rc = main(["scan-text", "--index", str(idx), "--bench", str(bench),
-                   "--n", "9", "--report", str(tmp_path / "r.json")])
-        assert rc == 1
-        assert "n=9" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["scan-text", "--index", str(idx), "--bench", str(bench),
+                  "--n", "8", "--report", str(tmp_path / "r.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n 8" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         train, bench = self._corpora(tmp_path)
@@ -661,8 +679,11 @@ class TestErrorLines:
             (b"{", "{path}: invalid JSON (Expecting property name"),
             (b'{"center_ids": [\n"\xff"]}', "{path}: line 2: invalid UTF-8"),
             (b'{"center_ids": ["zz"]}', "{path}: selected id 'zz' not present in scores"),
+            (b'{"center_ids": ["a", "a"]}',
+             "{path}: selected id 'a' appears more than once"),
+            (b'{"center_ids": []}', "{path}: center_ids is empty"),
         ],
-        ids=["json", "utf8", "unknown-id"],
+        ids=["json", "utf8", "unknown-id", "repeated-id", "empty"],
     )
     def test_unreadable_selection(self, tmp_path, capsys, content, message):
         scores = tmp_path / "scores.csv"
@@ -771,6 +792,28 @@ class TestErrorLines:
         expected = {"text-index": f"{idx}: not an image index",
                     "version-2": f"{idx}: unsupported index version 2"}
         assert expected[fault] in err
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
+    def test_inconsistent_image_index(self, tmp_path, capsys, hashed):
+        # The whole sequence is indexed but none of its windows: no build
+        # writes this, so the scan names the index.
+        seq = TokenSequence("a", tuple(range(32)))
+        built = build_image_index([seq], hashed=hashed)
+        idx = tmp_path / "idx.bin"
+        save_index(ImageNGramIndex(8, hashed, {}, built.exact_sequences), idx)
+        bench = write_jsonl(
+            tmp_path / "bench.jsonl", [{"id": "a", "tokens": list(seq.tokens)}]
+        )
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["scan-image", "--index", str(idx), "--bench", str(bench),
+             "--report", str(tmp_path / "r.json")],
+            ["idx.bin", "bench.jsonl"],
+        )
+        assert err == (
+            f"corelite: error: {idx}: sequence 'a' is indexed whole"
+            " but none of its windows is\n"
+        )
 
     def test_internal_key_error_is_not_a_data_error(self, tmp_path, monkeypatch):
         def broken(args):

@@ -201,6 +201,12 @@ class TestEmbeddings:
         with pytest.raises(CoreliteError, match="row 5: non-finite value"):
             EmbeddingMatrix(tuple(f"r{i}" for i in range(7)), data)
 
+    @pytest.mark.parametrize("inst_id", ["a\rb", "a\nb", "a\r\n"])
+    def test_id_with_line_break(self, inst_id):
+        # save_embeddings writes one id per line, so such an id cannot be read back.
+        with pytest.raises(CoreliteError, match="row 1: embedding id holds CR or LF"):
+            EmbeddingMatrix(("c", inst_id), np.zeros((2, 1), dtype=np.float32))
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "e.bin"
         p.write_bytes(b"XXXX" + b"\x00" * 8)

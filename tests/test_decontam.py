@@ -252,7 +252,7 @@ class TestScanImage:
             seq("clean", range(100, 132)),
         ]
         report = scan_image(bench, index)
-        counts = report.category_counts()
+        counts = Counter(inst.category for inst in report.per_instance.values())
         assert sum(counts.values()) == len(bench)
         assert counts[ContaminationCategory.DUPLICATE_IMAGE] == 1
         assert counts[ContaminationCategory.SIMILAR_IMAGE] == 1

@@ -5,8 +5,9 @@ parameters and input paths; `main` then writes the run manifest (parameters,
 input digests, tool version) next to the output, so identical inputs
 reproduce byte-identical outputs. Every file is written atomically.
 
-Only `select`, `gap`, `aggregate` and `correlate` import `coreset` and
-`scoring`, and with them numpy; the n-gram commands start without it.
+Each command imports only what it runs. Only `select` and `correlate` load
+numpy; `gap`, `aggregate`, the n-gram commands and `--version` start
+without it. Only the four n-gram commands load `decontam`.
 
 Exit codes: 0 success, 1 data/content error, 2 usage error.
 """
@@ -20,7 +21,6 @@ import sys
 from dataclasses import asdict
 
 from . import CoreliteError, __version__
-from . import decontam
 from .corpus import (
     EmbeddingMatrix,
     ScaleSpec,
@@ -117,6 +117,8 @@ def cmd_gap(args) -> tuple[dict, dict]:
 
 
 def cmd_index_text(args) -> tuple[dict, dict]:
+    from . import decontam
+
     train = load_text_corpus(args.train)
     index = decontam.build_text_index(
         train, n=args.n, freq_threshold=args.freq_threshold, hashed=args.hashed
@@ -127,6 +129,8 @@ def cmd_index_text(args) -> tuple[dict, dict]:
 
 
 def cmd_scan_text(args) -> tuple[dict, dict]:
+    from . import decontam
+
     index = decontam.load_index(args.index)
     if not isinstance(index, decontam.TextNGramIndex):
         raise CoreliteError(f"{args.index}: not a text index")
@@ -139,6 +143,8 @@ def cmd_scan_text(args) -> tuple[dict, dict]:
 
 
 def cmd_index_image(args) -> tuple[dict, dict]:
+    from . import decontam
+
     train = load_token_corpus(args.train)
     index = decontam.build_image_index(train, hashed=args.hashed)
     decontam.save_index(index, args.out)
@@ -146,6 +152,8 @@ def cmd_index_image(args) -> tuple[dict, dict]:
 
 
 def cmd_scan_image(args) -> tuple[dict, dict]:
+    from . import decontam
+
     index = decontam.load_index(args.index)
     if not isinstance(index, decontam.ImageNGramIndex):
         raise CoreliteError(f"{args.index}: not an image index")

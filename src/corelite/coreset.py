@@ -1,17 +1,23 @@
 """k-Center greedy coreset selection over embedding matrices.
 
 The greedy farthest-first traversal gives a 2-approximation of the optimal
-coverage radius.
+coverage radius. numpy is imported only by the embedding code, when it runs,
+so `gap` starts without it: its means are plain Python in numpy's order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING
 
 from . import CoreliteError
 from .corpus import EmbeddingMatrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Default lite-set sizes per dataset. Datasets at full size are kept whole.
 LITE_K_DEFAULTS: dict[str, int] = {
@@ -59,12 +65,30 @@ class SubsetGap:
     gap: float
 
 
+_NORM_ROWS = 4096  # rows per float64 block in normalize_rows
+
+
 def normalize_rows(block: np.ndarray) -> np.ndarray:
     """Scale each row to unit L2 norm (norms in float64), as float32.
 
-    Zero rows are left untouched.
+    Zero rows are left untouched. Squares are summed a block of rows at a
+    time, so no float64 copy of the whole matrix is made.
     """
-    norms = np.sqrt(np.square(block, dtype=np.float64).sum(axis=1, keepdims=True))
+    import numpy as np
+
+    # One buffer serves every block. A new one per block would be freed and
+    # allocated again, which raises glibc's mmap threshold: later temporaries
+    # then come from a heap that keeps about 10 MiB more resident. It is
+    # freed before the result is allocated, so the two never add up.
+    norms = np.empty((block.shape[0], 1))
+    squares = np.empty((min(_NORM_ROWS, block.shape[0]), block.shape[1]))
+    for lo in range(0, block.shape[0], _NORM_ROWS):
+        rows = block[lo:lo + _NORM_ROWS]
+        np.square(rows, out=squares[:len(rows)], dtype=np.float64).sum(
+            axis=1, keepdims=True, out=norms[lo:lo + _NORM_ROWS]
+        )
+    del squares
+    np.sqrt(norms, out=norms)
     norms[norms == 0.0] = 1.0
     return np.divide(block, norms, out=np.empty(block.shape, np.float32))
 
@@ -98,6 +122,8 @@ def _min_center_dists(
     X: np.ndarray, sq_norms: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
     """Distances from every row of X to one center."""
+    import numpy as np
+
     d2 = sq_norms - 2.0 * (X @ center) + float(center @ center)
     np.maximum(d2, 0.0, out=d2)
     return np.sqrt(d2)
@@ -117,6 +143,8 @@ def k_center_greedy(
     `workers` is accepted for compatibility and ignored: numpy's BLAS
     already spreads each distance GEMV over the available cores.
     """
+    import numpy as np
+
     n = emb.n
     _check_k(n, k)
     X = np.ascontiguousarray(emb.data, dtype=np.float64)
@@ -144,23 +172,50 @@ def k_center_greedy(
     )
 
 
+def _pairwise_sum(v: list[float], lo: int, hi: int) -> float:
+    """Sum v[lo:hi] in the float64 order of numpy's pairwise summation.
+
+    Under 8 values: in turn from 0.0. Up to 128: eight accumulators seeded
+    with the first eight values and stepped by 8, combined as a tree, then
+    the tail in turn. Longer runs split at a multiple of 8 near the middle.
+    """
+    n = hi - lo
+    if n < 8:
+        return reduce(add, v[lo:hi], 0.0)
+    if n <= 128:
+        end = hi - n % 8
+        r = [reduce(add, v[lo + j:end:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, v[end:hi], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(v, lo, lo + half) + _pairwise_sum(v, lo + half, hi)
+
+
+def _mean(v: list[float]) -> float:
+    """`np.mean` of a non-empty float64 list, bit for bit.
+
+    numpy adds the sum to a 0.0 accumulator, which turns a -0.0 sum into 0.0.
+    """
+    return (0.0 + _pairwise_sum(v, 0, len(v))) / len(v)
+
+
 def subset_gap(per_instance_scores, subset) -> SubsetGap:
     """Absolute difference between the full-set mean score and a subset's mean."""
-    scores = np.asarray(list(per_instance_scores), dtype=np.float64)
+    scores = [float(s) for s in per_instance_scores]
     subset = list(subset)
-    if scores.size == 0:
+    if not scores:
         raise CoreliteError("score list must be non-empty")
     if not subset:
         raise CoreliteError("subset must be non-empty")
     if len(set(subset)) != len(subset):
         raise CoreliteError("subset indices must be distinct")
     for i in subset:
-        if not 0 <= i < scores.size:
+        if not 0 <= i < len(scores):
             raise CoreliteError(f"subset index {i} out of range")
-    with np.errstate(all="ignore"):  # an overflow shows as a non-finite gap
-        full_mean = float(scores.mean())
-        subset_mean = float(scores[subset].mean())
+    full_mean = _mean(scores)
+    subset_mean = _mean([scores[i] for i in subset])
     gap = abs(full_mean - subset_mean)
-    if not np.isfinite(gap):  # so is the gap when either mean is not finite
+    if not math.isfinite(gap):  # so is the gap when either mean is not finite
         raise CoreliteError("score means or their gap overflow float64")
     return SubsetGap(full_mean, subset_mean, gap)

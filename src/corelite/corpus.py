@@ -29,6 +29,7 @@ _MAX_TOKEN_ID = (1 << 32) - 1
 _MAX_COUNT = 1 << 53  # the largest count a float64 weight holds exactly
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_ASCII_WORD_RE = re.compile(r"[a-z0-9]+")  # the same runs on lowercase ASCII
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -36,7 +37,10 @@ def tokenize_text(text: str) -> list[str]:
 
     Deterministic by construction: no locale, no stemming, no stop words.
     """
-    return _WORD_RE.findall(text.lower())
+    # Test the lowered text: lower() maps some non-ASCII letters to ASCII,
+    # such as the Kelvin sign to k.
+    text = text.lower()
+    return (_ASCII_WORD_RE if text.isascii() else _WORD_RE).findall(text)
 
 
 @dataclass(frozen=True)

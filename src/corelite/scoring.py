@@ -1,15 +1,21 @@
-"""Score normalization to 0-100, cross-dataset aggregation, and lite-vs-full correlation."""
+"""Score normalization to 0-100, cross-dataset aggregation, and lite-vs-full correlation.
+
+Only the correlations import numpy, when they run, so `aggregate` starts
+without it.
+"""
 
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import CoreliteError
 from .corpus import ScaleSpec, ScoreTable, read_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SCALE = (0.0, 100.0)
 
@@ -108,6 +114,8 @@ def aggregate(
 
 def pearson(x, y) -> float:
     """Product-moment correlation with 64-bit accumulation."""
+    import numpy as np
+
     x = np.asarray(list(x), dtype=np.float64)
     y = np.asarray(list(y), dtype=np.float64)
     if x.shape != y.shape:
@@ -130,6 +138,8 @@ def pearson(x, y) -> float:
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties assigned the mean of their rank range."""
+    import numpy as np
+
     # A run of equal values ending at sorted position j (1-based) covers
     # ranks j - count + 1 .. j, whose mean is j - (count - 1) / 2.
     _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
@@ -138,6 +148,8 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
 
 def spearman(x, y) -> float:
     """Rank correlation: pearson over average-ranked data."""
+    import numpy as np
+
     x = np.asarray(list(x), dtype=np.float64)
     y = np.asarray(list(y), dtype=np.float64)
     return pearson(_average_ranks(x), _average_ranks(y))

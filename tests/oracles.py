@@ -1,11 +1,16 @@
-"""Exact reference solvers that the k-center tests compare the greedy against."""
+"""Reference implementations that the tests compare the library against.
+
+Exact k-center solvers for the greedy, and the earlier numpy subset gap and
+Unicode-only tokenizer for their plain-Python and ASCII fast paths.
+"""
 
 import itertools
+import re
 
 import numpy as np
 
 from corelite import CoreliteError
-from corelite.coreset import CoresetSelection, _check_k
+from corelite.coreset import CoresetSelection, SubsetGap, _check_k
 from corelite.corpus import EmbeddingMatrix
 
 
@@ -57,3 +62,33 @@ def brute_force_k_center(emb: EmbeddingMatrix, k: int) -> CoresetSelection:
         k=k,
         seed=0,
     )
+
+
+def numpy_subset_gap(per_instance_scores, subset) -> SubsetGap:
+    """subset_gap with numpy's means: the oracle for the plain-Python means."""
+    scores = np.asarray(list(per_instance_scores), dtype=np.float64)
+    subset = list(subset)
+    if scores.size == 0:
+        raise CoreliteError("score list must be non-empty")
+    if not subset:
+        raise CoreliteError("subset must be non-empty")
+    if len(set(subset)) != len(subset):
+        raise CoreliteError("subset indices must be distinct")
+    for i in subset:
+        if not 0 <= i < scores.size:
+            raise CoreliteError(f"subset index {i} out of range")
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite gap
+        full_mean = float(scores.mean())
+        subset_mean = float(scores[subset].mean())
+    gap = abs(full_mean - subset_mean)
+    if not np.isfinite(gap):  # so is the gap when either mean is not finite
+        raise CoreliteError("score means or their gap overflow float64")
+    return SubsetGap(full_mean, subset_mean, gap)
+
+
+_UNICODE_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+def unicode_tokenize_text(text: str) -> list[str]:
+    """tokenize_text with the Unicode regex for every text: the oracle for its ASCII path."""
+    return _UNICODE_WORD_RE.findall(text.lower())

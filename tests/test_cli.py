@@ -825,7 +825,7 @@ class TestErrorLines:
 
 
 # Runs corelite.cli.main in-process for each argv of a JSON list and writes,
-# for each run, whether numpy had been imported by its end.
+# for each run, whether numpy and corelite.decontam had been imported by its end.
 _IMPORT_PROBE = """
 import json, sys
 from corelite.cli import main
@@ -836,7 +836,7 @@ for argv in json.loads(sys.argv[1]):
     except SystemExit as exc:
         rc = exc.code
     assert rc == 0, argv
-    seen.append([argv[0], "numpy" in sys.modules])
+    seen.append([argv[0], "numpy" in sys.modules, "corelite.decontam" in sys.modules])
 with open(sys.argv[2], "w") as fh:
     json.dump(seen, fh)
 """
@@ -864,7 +864,12 @@ def _import_probe(cwd, runs):
 
 
 class TestNumpyStaysOut:
-    """The n-gram commands and --version start without numpy; select needs it."""
+    """Each command imports only what it runs.
+
+    Only select and correlate load numpy, and only the n-gram commands load
+    decontam. A module one run imports stays for the next, so each command
+    outside the n-gram group runs in a process of its own.
+    """
 
     def test_ngram_commands(self, tmp_path):
         write_jsonl(tmp_path / "t.jsonl",
@@ -883,13 +888,30 @@ class TestNumpyStaysOut:
                 ["scan-image", "--index", "i.idx", "--bench", "img.jsonl",
                  "--report", "i.json"],
             ]
-        assert _import_probe(tmp_path, runs) == [[argv[0], False] for argv in runs]
+        assert _import_probe(tmp_path, runs) == [
+            [argv[0], False, argv[0] != "--version"] for argv in runs
+        ]
 
     def test_select_imports_numpy(self, tmp_path, emb_files):
         data_path, ids_path = emb_files
         runs = [["select", "--embeddings", str(data_path), "--ids", str(ids_path),
                  "--k", "3", "--out", "sel.json"]]
-        assert _import_probe(tmp_path, runs) == [["select", True]]
+        assert _import_probe(tmp_path, runs) == [["select", True, False]]
+
+    @pytest.mark.parametrize("argv,numpy", [
+        (["--version"], False),
+        (["gap", "--scores", "inst.csv", "--selection", "sel.json", "--out", "g.json"],
+         False),
+        (["aggregate", "--scores", "s.csv", "--out", "a.json"], False),
+        (["correlate", "--full", "s.csv", "--lite", "s.csv", "--out", "c.json"], True),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_scoring_commands(self, tmp_path, argv, numpy):
+        (tmp_path / "s.csv").write_text(
+            "model,dataset,score\nm1,a,10\nm1,b,20\nm2,a,25\nm2,b,5\n"
+        )
+        (tmp_path / "inst.csv").write_text("model,dataset,score\nm,a,1\nm,b,0.5\n")
+        (tmp_path / "sel.json").write_text(json.dumps({"center_ids": ["b"]}))
+        assert _import_probe(tmp_path, [argv]) == [[argv[0], numpy, False]]
 
 
 def test_demo_pipeline(tmp_path):

@@ -1,4 +1,8 @@
 import itertools
+import re
+from dataclasses import astuple
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -8,14 +12,16 @@ from hypothesis.extra import numpy as hnp
 
 from corelite import CoreliteError
 from corelite.coreset import (
+    _NORM_ROWS,
     CoresetSelection,
+    _mean,
     k_center_greedy,
     normalize_rows,
     subset_gap,
     uniform_index,
 )
 from corelite.corpus import EmbeddingMatrix
-from oracles import brute_force_k_center, coverage_radius
+from oracles import brute_force_k_center, coverage_radius, numpy_subset_gap
 
 
 def emb_1d(points, ids=None):
@@ -72,6 +78,15 @@ class TestNormalizeRows:
     def test_zero_row_untouched_and_unit_norms(self):
         out = normalize_rows(np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32))
         assert out.tolist() == [[0.0, 0.0], [0.6000000238418579, 0.800000011920929]]
+
+    def test_row_blocks_match_whole_matrix(self):
+        # Rows span two full blocks and a partial one, with a zero row.
+        rng = np.random.default_rng(0)
+        n = 2 * _NORM_ROWS + 3
+        scale = 10.0 ** rng.integers(-20, 20, (n, 1))
+        block = (rng.standard_normal((n, 5)) * scale).astype(np.float32)
+        block[_NORM_ROWS] = 0.0
+        assert normalize_rows(block).tobytes() == normalize_rows_oracle(block).tobytes()
 
 
 class TestDistance:
@@ -264,6 +279,45 @@ class TestBruteForce:
         assert sel.coverage_radius == min(radii)
 
 
+# Finite float64 scores, with signed zeros, subnormals and values whose sums
+# overflow to inf (and inf - inf to nan) drawn often.
+_EDGE_SCORES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+_scores = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_SCORES)
+)
+# Lengths on either side of the pairwise sum's 8-wide blocks and 128-value leaves.
+_score_lists = st.one_of(
+    st.lists(_scores, min_size=1, max_size=300),
+    st.sampled_from([7, 8, 9, 127, 128, 129, 136, 255, 256, 257]).flatmap(
+        lambda n: st.lists(_scores, min_size=n, max_size=n)
+    ),
+)
+
+
+def _numpy_mean(values) -> float:
+    with np.errstate(all="ignore"):
+        return float(np.mean(np.asarray(values, dtype=np.float64)))
+
+
+class TestMean:
+    """The plain-Python mean equals np.mean bit for bit; float.hex tells -0.0 from 0.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_score_lists)
+    def test_matches_numpy(self, values):
+        assert _mean(values).hex() == _numpy_mean(values).hex()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 256])
+    def test_negative_zeros(self, n):
+        assert _mean([-0.0] * n).hex() == _numpy_mean([-0.0] * n).hex() == "0x0.0p+0"
+
+    def test_hundred_thousand_values(self):
+        values = np.random.default_rng(12).standard_normal(100_000).tolist()
+        assert _mean(values).hex() == _numpy_mean(values).hex()
+        # A sequential sum rounds differently here, so the order is what is tested.
+        assert (reduce(add, values, 0.0) / len(values)).hex() != _mean(values).hex()
+
+
 class TestSubsetGap:
     def test_constant_scores(self):
         assert subset_gap([4.0] * 6, [1, 2]).gap == 0.0
@@ -298,6 +352,23 @@ class TestSubsetGap:
         # The means (or their gap) exceed float64; numpy's warnings stay quiet.
         with pytest.raises(CoreliteError, match="overflow float64"):
             subset_gap(scores, subset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_score_lists, st.data())
+    def test_matches_numpy_oracle(self, scores, data):
+        n = len(scores)
+        subset = data.draw(st.one_of(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True),
+            st.lists(st.integers(-1, n), max_size=4),  # empty, repeated, out of range
+        ))
+        try:
+            expected = numpy_subset_gap(scores, subset)
+        except CoreliteError as exc:
+            with pytest.raises(CoreliteError, match=f"^{re.escape(str(exc))}$"):
+                subset_gap(scores, subset)
+            return
+        got = subset_gap(scores, subset)
+        assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(expected)]
 
 
 class TestSelectionInvariants:

@@ -25,6 +25,7 @@ from corelite.corpus import (
     save_embeddings,
     write_atomic,
 )
+from oracles import unicode_tokenize_text
 
 
 class TestTokenize:
@@ -44,6 +45,25 @@ class TestTokenize:
     def test_idempotent_on_joined_output(self, text):
         tokens = tokenize_text(text)
         assert tokenize_text(" ".join(tokens)) == tokens
+
+    @pytest.mark.parametrize(
+        "text,tokens",
+        [("\u212aELVIN 4K", ["kelvin", "4k"]),  # the Kelvin sign lowers to ASCII k
+         ("\u0130stanbul", ["i", "stanbul"]),  # İ lowers to i and a combining dot
+         ("STRAẞE_\u00c9T\u00c9", ["straße", "été"])],
+    )
+    def test_lowering_picks_the_path(self, text, tokens):
+        assert tokenize_text(text) == unicode_tokenize_text(text) == tokens
+
+    @given(st.one_of(
+        st.text(alphabet=st.characters(max_codepoint=127), max_size=200),
+        st.text(alphabet=st.sampled_from(
+            "aAzZ09_ -.\t\u212a\u0130\u0131\u00e9\u00c9\u00df\u03a3\u03c3"
+            "\u4e2d\u0663\u00b2\u0301"), max_size=200),
+        st.text(max_size=200),
+    ))
+    def test_matches_unicode_oracle(self, text):
+        assert tokenize_text(text) == unicode_tokenize_text(text)
 
 
 class TestTextCorpus:

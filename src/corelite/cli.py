@@ -22,7 +22,6 @@ from dataclasses import asdict
 
 from . import CoreliteError, __version__
 from .corpus import (
-    EmbeddingMatrix,
     ScaleSpec,
     load_embeddings,
     load_scores,
@@ -71,9 +70,7 @@ def cmd_select(args) -> tuple[dict, dict]:
         k = coreset.LITE_K_DEFAULTS.get(args.dataset.lower())
         if k is None:
             raise CoreliteError(f"no default lite size for dataset {args.dataset!r}")
-    if args.normalize:
-        emb = EmbeddingMatrix(emb.ids, coreset.normalize_rows(emb.data))
-    sel = coreset.k_center_greedy(emb, k, seed=args.seed)
+    sel = coreset.k_center_greedy(emb, k, seed=args.seed, normalize=args.normalize)
     center_ids = [emb.ids[i] for i in sel.center_indices]
     _write_json(args.out, {**asdict(sel), "center_ids": center_ids})
     params = {"k": k, "seed": args.seed, "normalize": args.normalize, "metric": "l2"}

@@ -65,34 +65,6 @@ class SubsetGap:
     gap: float
 
 
-_NORM_ROWS = 4096  # rows per float64 block in normalize_rows
-
-
-def normalize_rows(block: np.ndarray) -> np.ndarray:
-    """Scale each row to unit L2 norm (norms in float64), as float32.
-
-    Zero rows are left untouched. Squares are summed a block of rows at a
-    time, so no float64 copy of the whole matrix is made.
-    """
-    import numpy as np
-
-    # One buffer serves every block. A new one per block would be freed and
-    # allocated again, which raises glibc's mmap threshold: later temporaries
-    # then come from a heap that keeps about 10 MiB more resident. It is
-    # freed before the result is allocated, so the two never add up.
-    norms = np.empty((block.shape[0], 1))
-    squares = np.empty((min(_NORM_ROWS, block.shape[0]), block.shape[1]))
-    for lo in range(0, block.shape[0], _NORM_ROWS):
-        rows = block[lo:lo + _NORM_ROWS]
-        np.square(rows, out=squares[:len(rows)], dtype=np.float64).sum(
-            axis=1, keepdims=True, out=norms[lo:lo + _NORM_ROWS]
-        )
-    del squares
-    np.sqrt(norms, out=norms)
-    norms[norms == 0.0] = 1.0
-    return np.divide(block, norms, out=np.empty(block.shape, np.float32))
-
-
 def uniform_index(seed: int, n: int) -> int:
     """Draw uniformly from 0..n-1 (n >= 1) with SplitMix64 seeded by `seed`.
 
@@ -118,6 +90,30 @@ def _check_k(n: int, k: int) -> None:
         raise CoreliteError(f"k must be in 1..{n}, got {k}")
 
 
+_NORM_ROWS = 32  # rows per block of _working_matrix's float32 buffer
+
+
+def _working_matrix(data: np.ndarray, normalize: bool) -> np.ndarray:
+    """`data` as float64, with rows scaled to unit L2 norm if `normalize`.
+
+    A block's squares are summed in its own rows of the result, and its
+    quotients are rounded to float32 before widening: the values of a float32
+    normalized matrix, without making one. Zero rows stay zero.
+    """
+    import numpy as np
+
+    if not normalize:
+        return np.ascontiguousarray(data, dtype=np.float64)
+    X = np.empty(data.shape)
+    quotients = np.empty((_NORM_ROWS, data.shape[1]), np.float32)
+    for lo in range(0, len(data), _NORM_ROWS):
+        rows, out = data[lo:lo + _NORM_ROWS], X[lo:lo + _NORM_ROWS]
+        norm = np.sqrt(np.square(rows, out=out, dtype=np.float64).sum(1, keepdims=True))
+        norm[norm == 0.0] = 1.0
+        out[...] = np.divide(rows, norm, out=quotients[:len(rows)])
+    return X
+
+
 def _min_center_dists(
     X: np.ndarray, sq_norms: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
@@ -134,11 +130,15 @@ def k_center_greedy(
     k: int,
     seed: int = 0,
     workers: int = 1,
+    normalize: bool = False,
 ) -> CoresetSelection:
-    """Greedy farthest-first k-center selection.
+    """Greedy farthest-first k-center selection under L2 distance.
 
     The first center is `uniform_index(seed, n)`; each later center is the
     point farthest from the current centers, ties broken by lowest index.
+    Distances are float64, over one working copy of `emb.data` whose rows
+    `normalize` scales to unit L2 norm (zero rows stay zero) with float32
+    rounding: the centers of the plain greedy on float32 normalized rows.
 
     `workers` is accepted for compatibility and ignored: numpy's BLAS
     already spreads each distance GEMV over the available cores.
@@ -147,7 +147,7 @@ def k_center_greedy(
 
     n = emb.n
     _check_k(n, k)
-    X = np.ascontiguousarray(emb.data, dtype=np.float64)
+    X = _working_matrix(emb.data, normalize)
     sq_norms = np.einsum("ij,ij->i", X, X)
 
     first = uniform_index(seed, n)

@@ -28,19 +28,69 @@ IMAGE_TOKEN_LEN = 32
 _MAX_TOKEN_ID = (1 << 32) - 1
 _MAX_COUNT = 1 << 53  # the largest count a float64 weight holds exactly
 
-_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_ASCII_WORD_RE = re.compile(r"[a-z0-9]+")  # the same runs on lowercase ASCII
+_ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
+# Over a string of code point classes (see _Classes): a word, or a letter that
+# is a token alone; either takes the combining marks that follow it.
+_CLASS_TOKEN_RE = re.compile(r"w[wm]*|sm*")
+# Letters that are each a token: CJK ideographs (the ranges of BERT's basic
+# tokenizer), then Hiragana and Katakana.
+_SOLO_RANGES = (
+    (0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0x20000, 0x2A6DF), (0x2A700, 0x2CEAF),
+    (0xF900, 0xFAFF), (0x2F800, 0x2FA1F), (0x3040, 0x30FF),
+)
+
+
+class _Classes(dict):
+    """Code point -> class, each classified once, when first seen.
+
+    "w" a letter or digit, "s" one that is a token alone, "m" a combining mark
+    (Mn, Mc, Me), " " anything else, such as punctuation or a lone surrogate.
+    """
+
+    def __missing__(self, cp: int) -> str:
+        import unicodedata
+
+        char = chr(cp)
+        if char.isalnum():
+            cls = "s" if any(lo <= cp <= hi for lo, hi in _SOLO_RANGES) else "w"
+        else:
+            cls = "m" if unicodedata.category(char) in ("Mn", "Mc", "Me") else " "
+        self[cp] = cls
+        return cls
+
+
+_CLASSES = _Classes()
 
 
 def tokenize_text(text: str) -> list[str]:
-    """Lowercase and split on maximal runs of non-alphanumeric code points.
+    """Lowercase, then split into words of letters and digits.
 
-    Deterministic by construction: no locale, no stemming, no stop words.
+    Punctuation, space, underscore and every other code point separate words.
+    Text that is not ASCII is put in NFC first; a word also takes the
+    combining marks that follow it, and each CJK ideograph, Hiragana or
+    Katakana letter is a word alone. Deterministic by construction: no
+    locale, no stemming, no stop words.
     """
     # Test the lowered text: lower() maps some non-ASCII letters to ASCII,
     # such as the Kelvin sign to k.
     text = text.lower()
-    return (_ASCII_WORD_RE if text.isascii() else _WORD_RE).findall(text)
+    if text.isascii():
+        return _ASCII_WORD_RE.findall(text)
+    import unicodedata
+
+    text = unicodedata.normalize("NFC", text)
+    spans = _CLASS_TOKEN_RE.finditer(text.translate(_CLASSES))
+    return [text[m.start():m.end()] for m in spans]
+
+
+def _check_id(record_id: str, kind: str) -> None:
+    """A record id is non-empty, and UTF-8 can encode it for the JSON reports."""
+    if not record_id:
+        raise CoreliteError(f"{kind} id must be non-empty")
+    try:
+        record_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CoreliteError(f"{kind} id holds a lone surrogate") from None
 
 
 @dataclass(frozen=True)
@@ -51,8 +101,7 @@ class TextDocument:
     def __post_init__(self):
         if not isinstance(self.text, str):
             raise CoreliteError("text must be a string")
-        if not self.id:
-            raise CoreliteError("document id must be non-empty")
+        _check_id(self.id, "document")
 
 
 @dataclass(frozen=True)
@@ -69,8 +118,7 @@ class TokenSequence:
             raise CoreliteError(
                 f"id={self.id}: length {len(self.tokens)}, expected {IMAGE_TOKEN_LEN}"
             )
-        if not self.id:
-            raise CoreliteError("sequence id must be non-empty")
+        _check_id(self.id, "sequence")
         for t in self.tokens:
             if not (0 <= t <= _MAX_TOKEN_ID):
                 raise CoreliteError(f"id={self.id}: token id {t} out of range")

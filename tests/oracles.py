@@ -1,11 +1,11 @@
 """Reference implementations that the tests compare the library against.
 
-Exact k-center solvers for the greedy, and the earlier numpy subset gap and
-Unicode-only tokenizer for their plain-Python and ASCII fast paths.
+Exact k-center solvers for the greedy, the earlier numpy subset gap for its
+plain-Python means, and a tokenizer that reads one code point at a time.
 """
 
 import itertools
-import re
+import unicodedata
 
 import numpy as np
 
@@ -86,9 +86,34 @@ def numpy_subset_gap(per_instance_scores, subset) -> SubsetGap:
     return SubsetGap(full_mean, subset_mean, gap)
 
 
-_UNICODE_WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# CJK ideographs (BERT's basic-tokenizer ranges), Hiragana and Katakana.
+_ALONE = [(0x4E00, 0x9FFF), (0x3400, 0x4DBF), (0x20000, 0x2A6DF), (0x2A700, 0x2CEAF),
+          (0xF900, 0xFAFF), (0x2F800, 0x2FA1F), (0x3040, 0x30FF)]
 
 
 def unicode_tokenize_text(text: str) -> list[str]:
-    """tokenize_text with the Unicode regex for every text: the oracle for its ASCII path."""
-    return _UNICODE_WORD_RE.findall(text.lower())
+    """tokenize_text one code point at a time, from unicodedata categories.
+
+    NFC after lower(). A letter or number (L*, N*) extends an open word or
+    opens one; a CJK ideograph, Hiragana or Katakana letter is a closed word
+    of its own. A combining mark (M*) extends any word before it. Every other
+    code point ends the word.
+    """
+    tokens: list[str] = []
+    word, is_open = "", False
+    for char in unicodedata.normalize("NFC", text.lower()):
+        category = unicodedata.category(char)
+        if category[0] in "LN":
+            alone = any(lo <= ord(char) <= hi for lo, hi in _ALONE)
+            if word and is_open and not alone:
+                word += char
+                continue
+            tokens.append(word)
+            word, is_open = char, not alone
+        elif category[0] == "M" and word:
+            word += char
+        else:
+            tokens.append(word)
+            word = ""
+    tokens.append(word)
+    return [t for t in tokens if t]

@@ -191,6 +191,34 @@ class TestTextScan:
         assert payload["per_instance"]["copy"]["text_hit"] is True
         assert payload["per_instance"]["clean"]["category"] == "clean"
 
+    def test_chinese_question_flagged(self, tmp_path, capsys):
+        # One token per ideograph gives the question 31 tokens: 24 windows.
+        question = "下列哪个选项最能说明图中所示的化学反应过程？A. 氧化反应 B. 还原反应"
+        train = write_jsonl(tmp_path / "train.jsonl", [
+            {"id": "leak", "text": f"题目：{question} 答案：A"},
+            {"id": "other", "text": "这是一段与题目无关的训练文本，用来填充语料。"},
+        ])
+        bench = write_jsonl(tmp_path / "bench.jsonl", [{"id": "q", "text": question}])
+        idx = tmp_path / "idx.bin"
+        assert main(["index-text", "--train", str(train), "--out", str(idx)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["scan-text", "--index", str(idx), "--bench", str(bench),
+                     "--report", str(report)]) == 0
+        assert "text_overlap_pct=100.0" in capsys.readouterr().out
+        hit = json.loads(report.read_text())["per_instance"]["q"]
+        assert hit["text_hit"] is True and hit["matched_windows"] == 24
+
+    def test_lone_surrogate_in_text_indexes_and_scans(self, tmp_path, capsys):
+        body = "\ud800 ".join(f"w{j}" for j in range(10))
+        train = write_jsonl(tmp_path / "train.jsonl", [{"id": "t", "text": body}])
+        bench = write_jsonl(tmp_path / "bench.jsonl", [{"id": "b", "text": body}])
+        idx = tmp_path / "idx.bin"
+        assert main(["index-text", "--train", str(train), "--out", str(idx)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["scan-text", "--index", str(idx), "--bench", str(bench),
+                     "--report", str(report)]) == 0
+        assert "text_overlap_pct=100.0" in capsys.readouterr().out
+
     def test_empty_train_scan(self, tmp_path, capsys):
         train = write_jsonl(tmp_path / "train.jsonl", [])
         bench = write_jsonl(
@@ -369,6 +397,23 @@ class TestErrorLines:
                    "--out", str(tmp_path / "agg.json")])
         assert rc == 1
         self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("kind", ["text", "image"])
+    def test_lone_surrogate_bench_id(self, tmp_path, capsys, kind):
+        good = {"text": {"text": "w " * 9}, "image": {"tokens": list(range(32))}}[kind]
+        train = write_jsonl(tmp_path / "train.jsonl", [{"id": "t", **good}])
+        bench = write_jsonl(tmp_path / "bench.jsonl", [{"id": "a\ud800", **good}])
+        idx = tmp_path / "idx.bin"
+        assert main([f"index-{kind}", "--train", str(train), "--out", str(idx)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        rc = main([f"scan-{kind}", "--index", str(idx), "--bench", str(bench),
+                   "--report", str(report)])
+        assert rc == 1
+        what = {"text": "document", "image": "sequence"}[kind]
+        assert self._one_error_line(capsys) == (
+            f"corelite: error: {bench}: line 1: {what} id holds a lone surrogate\n")
+        assert not report.exists()
 
     def test_scales_json_list(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
@@ -1095,3 +1140,27 @@ class TestGoldenArtifacts:
 
     def test_stdout(self, run):
         assert run[1] == self.STDOUT
+
+
+class TestGoldenNormalizedSelect:
+    """`select` with its default row normalization, pinned by SHA-256.
+
+    TestGoldenArtifacts runs `--no-normalize`. These digests were taken when
+    `select` normalized a float32 copy of the matrix before the greedy.
+    """
+
+    DIGESTS = {
+        "sel.json":
+            "83c4a9d1950c62b3ee75d74705ae772462238a04a64906313dc7f077195dc5e7",
+        "sel.json.manifest.json":
+            "56891f6a34560d51033f610a8ccf05251bcf93042ab189dd2b6148fef055fb37",
+    }
+
+    def test_digest(self, tmp_path):
+        _golden_inputs(tmp_path)
+        out = tmp_path / "sel.json"
+        assert main(["select", "--embeddings", str(tmp_path / "e.bin"),
+                     "--ids", str(tmp_path / "e.ids"), "--k", "5", "--seed", "3",
+                     "--out", str(out)]) == 0
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -15,8 +15,8 @@ from corelite.coreset import (
     _NORM_ROWS,
     CoresetSelection,
     _mean,
+    _working_matrix,
     k_center_greedy,
-    normalize_rows,
     subset_gap,
     uniform_index,
 )
@@ -51,18 +51,31 @@ def emb_from(data, ids=None):
 
 
 def normalize_rows_oracle(block):
-    """Whole-matrix float64 formula: the oracle for normalize_rows."""
+    """Whole-matrix float64 norms, quotients rounded to float32: normalized rows."""
     norms = np.linalg.norm(block.astype(np.float64), axis=1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     return (block / safe).astype(np.float32)
 
 
+def normalized_working_matrix(block):
+    """`_working_matrix(block, True)`, checked for its shape and dtype."""
+    out = _working_matrix(block, True)
+    assert out.dtype == np.float64 and out.shape == block.shape
+    return out
+
+
 class TestNormalizeRows:
+    """`select`'s row normalization, done as the greedy's float64 copy is made."""
+
     @settings(max_examples=200, deadline=None)
     @given(
         hnp.arrays(
             np.float32,
-            hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+            st.tuples(
+                st.one_of(st.integers(1, 8), st.sampled_from(
+                    [_NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1, 2 * _NORM_ROWS + 1])),
+                st.integers(1, 8),
+            ),
             elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
         ),
         st.data(),
@@ -71,22 +84,42 @@ class TestNormalizeRows:
         rows = len(block)
         zero = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
         block[np.asarray(zero, dtype=bool)] = 0.0
-        out = normalize_rows(block)
-        assert out.dtype == np.float32 and out.shape == block.shape
-        assert out.tobytes() == normalize_rows_oracle(block).tobytes()
+        expected = normalize_rows_oracle(block).astype(np.float64)
+        assert normalized_working_matrix(block).tobytes() == expected.tobytes()
 
     def test_zero_row_untouched_and_unit_norms(self):
-        out = normalize_rows(np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32))
+        block = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
+        out = normalized_working_matrix(block)
         assert out.tolist() == [[0.0, 0.0], [0.6000000238418579, 0.800000011920929]]
 
     def test_row_blocks_match_whole_matrix(self):
-        # Rows span two full blocks and a partial one, with a zero row.
+        # Rows span two full blocks and a partial one, with zero rows at a
+        # block's first and last row.
         rng = np.random.default_rng(0)
         n = 2 * _NORM_ROWS + 3
         scale = 10.0 ** rng.integers(-20, 20, (n, 1))
         block = (rng.standard_normal((n, 5)) * scale).astype(np.float32)
-        block[_NORM_ROWS] = 0.0
-        assert normalize_rows(block).tobytes() == normalize_rows_oracle(block).tobytes()
+        block[[_NORM_ROWS - 1, _NORM_ROWS]] = 0.0
+        expected = normalize_rows_oracle(block).astype(np.float64)
+        assert normalized_working_matrix(block).tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float32,
+            st.tuples(st.integers(1, 2 * _NORM_ROWS + 2), st.integers(1, 4)),
+            elements=st.floats(-1e6, 1e6, width=32),
+        ),
+        st.data(),
+    )
+    def test_greedy_matches_plain_greedy_on_normalized_rows(self, block, data):
+        k = data.draw(st.integers(1, len(block)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        emb = emb_from(block)
+        normalized = k_center_greedy(emb, k, seed=seed, normalize=True)
+        plain = k_center_greedy(emb_from(normalize_rows_oracle(block)), k, seed=seed)
+        assert normalized.center_indices == plain.center_indices
+        assert normalized.coverage_radius.hex() == plain.coverage_radius.hex()
 
 
 class TestDistance:

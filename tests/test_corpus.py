@@ -1,8 +1,10 @@
 import ast
 import errno
 import json
+import math
 import os
 import re
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -49,18 +51,44 @@ class TestTokenize:
     @pytest.mark.parametrize(
         "text,tokens",
         [("\u212aELVIN 4K", ["kelvin", "4k"]),  # the Kelvin sign lowers to ASCII k
-         ("\u0130stanbul", ["i", "stanbul"]),  # İ lowers to i and a combining dot
+         ("\u0130stanbul", ["i\u0307stanbul"]),  # İ lowers to i and a combining dot
          ("STRAẞE_\u00c9T\u00c9", ["straße", "été"])],
     )
     def test_lowering_picks_the_path(self, text, tokens):
         assert tokenize_text(text) == unicode_tokenize_text(text) == tokens
 
+    @pytest.mark.parametrize(
+        "text,tokens",
+        [
+            ("Café Zürich naïve Ångström", ["café", "zürich", "naïve", "ångström"]),
+            ("\u0939\u093f\u0928\u094d\u0926\u0940 \u092d\u093e\u0937\u093e",
+             ["\u0939\u093f\u0928\u094d\u0926\u0940", "\u092d\u093e\u0937\u093e"]),
+            ("\u0645\u064e\u0631\u0652\u062d\u064e\u0628\u064b\u0627",
+             ["\u0645\u064e\u0631\u0652\u062d\u064e\u0628\u064b\u0627"]),
+            ("中文abc日本語", ["中", "文", "abc", "日", "本", "語"]),
+            ("カタカナ・ひらがな", ["カ", "タ", "カ", "ナ", "ひ", "ら", "が", "な"]),
+            ("ア\u3099", ["ア\u3099"]),  # no precomposed form: the mark joins
+            ("한국어 문장", ["한국어", "문장"]),  # Hangul words stay whole
+            ("\u0e20\u0e32\u0e29\u0e32\u0e44\u0e17\u0e22 \u0e07\u0e48\u0e32\u0e22",
+             ["\u0e20\u0e32\u0e29\u0e32\u0e44\u0e17\u0e22",
+              "\u0e07\u0e48\u0e32\u0e22"]),  # Thai runs stay whole
+            ("a\ud800b \ud800\u0301 \u0301c", ["a", "b", "c"]),  # lone surrogates
+        ],
+    )
+    def test_marks_and_scripts(self, text, tokens):
+        nfd = unicodedata.normalize("NFD", text)
+        assert tokenize_text(text) == tokenize_text(nfd) == tokens
+        assert unicode_tokenize_text(text) == unicode_tokenize_text(nfd) == tokens
+
     @given(st.one_of(
         st.text(alphabet=st.characters(max_codepoint=127), max_size=200),
         st.text(alphabet=st.sampled_from(
             "aAzZ09_ -.\t\u212a\u0130\u0131\u00e9\u00c9\u00df\u03a3\u03c3"
-            "\u4e2d\u0663\u00b2\u0301"), max_size=200),
+            "\u4e2d\u0663\u00b2\u0301\u0308\u0939\u093f\u094d\u0e48\u0e07"
+            "\u3042\u30a2\u3099\u30fb\u30fc\uac00\u1100\u1161\uf900\U00020000"
+            "\u20dd\u0903\ud800\udfff"), max_size=200),
         st.text(max_size=200),
+        st.text(alphabet=st.characters(exclude_categories=()), max_size=100),
     ))
     def test_matches_unicode_oracle(self, text):
         assert tokenize_text(text) == unicode_tokenize_text(text)
@@ -140,8 +168,17 @@ class TestRecordRules:
              "id=a: length 31, expected 32"),
             ("tokens", {"id": "a", "tokens": [1 << 32] + list(range(31))},
              "id=a: token id 4294967296 out of range"),
+            ("tokens", {"id": "a", "tokens": "0" * 32}, "tokens must be a list of integers"),
+            ("tokens", {"id": "a", "tokens": [1.0] + list(range(31))},
+             "tokens must be a list of integers"),
+            ("tokens", {"id": "a", "tokens": [True] + list(range(31))},
+             "tokens must be a list of integers"),
+            ("text", {"id": "a\ud800", "text": "x"}, "document id holds a lone surrogate"),
+            ("tokens", {"id": "\udfffb", "tokens": list(range(32))},
+             "sequence id holds a lone surrogate"),
         ],
-        ids=["empty-id", "text-not-str", "wrong-length", "token-range"],
+        ids=["empty-id", "text-not-str", "wrong-length", "token-range", "tokens-str",
+             "tokens-float", "tokens-bool", "text-id-surrogate", "tokens-id-surrogate"],
     )
     def test_type_rule_and_line(self, tmp_path, field, record, message):
         make, loader, good = {
@@ -327,6 +364,16 @@ class TestScores:
         assert table.counts[("m1", "a")] == 2**53
         with pytest.raises(CoreliteError, match="at most 2"):
             ScoreTable({("m1", "a"): 1.0}, {("m1", "a"): 2**53 + 1})
+
+    @pytest.mark.parametrize(
+        "entries,counts,message",
+        [({("m1", "a"): math.nan}, {}, "score for ('m1', 'a') is not finite"),
+         ({("m1", "a"): -math.inf}, {}, "score for ('m1', 'a') is not finite"),
+         ({("m1", "a"): 1.0}, {("m1", "a"): 0}, "count for ('m1', 'a') must be positive")],
+    )
+    def test_score_table_checks_its_fields(self, entries, counts, message):
+        with pytest.raises(CoreliteError, match=f"^{re.escape(message)}$"):
+            ScoreTable(entries, counts)
 
 
 class TestWriteAtomic:

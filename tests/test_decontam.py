@@ -21,6 +21,7 @@ from corelite.decontam import (
     build_text_index,
     categorize,
     fnv1a64,
+    hash_text_ngram,
     load_index,
     overlap_ratio,
     save_index,
@@ -310,6 +311,15 @@ class TestHashMode:
         exact = scan_text(bench, build_text_index(train, freq_threshold=2))
         hashed = scan_text(bench, build_text_index(train, freq_threshold=2, hashed=True))
         assert exact == hashed
+
+    @pytest.mark.parametrize("text", [words(8), "zürich 中文 naïve straße a b c"])
+    def test_hash_text_ngram_is_the_hashed_key(self, text):
+        tokens = tokenize_text(text)
+        assert len(tokens) == 8
+        h = hash_text_ngram(tokens)
+        assert h == fnv1a64(text_key(tokens))
+        assert list(build_text_index([doc("a", text)], hashed=True).table) == [h]
+        assert list(build_text_index([doc("a", text)]).table) == [text_key(tokens)]
 
     def test_image_reports_match_exact_mode(self):
         rng = random.Random(3)

@@ -64,13 +64,13 @@ def _positive_int(text: str) -> int:
 def cmd_select(args) -> tuple[dict, dict]:
     from . import coreset
 
-    emb = load_embeddings(args.embeddings, args.ids)
+    emb = load_embeddings(args.embeddings, args.ids, normalize=args.normalize)
     k = args.k
     if k is None:
         k = coreset.LITE_K_DEFAULTS.get(args.dataset.lower())
         if k is None:
             raise CoreliteError(f"no default lite size for dataset {args.dataset!r}")
-    sel = coreset.k_center_greedy(emb, k, seed=args.seed, normalize=args.normalize)
+    sel = coreset.k_center_greedy(emb, k, seed=args.seed)
     center_ids = [emb.ids[i] for i in sel.center_indices]
     _write_json(args.out, {**asdict(sel), "center_ids": center_ids})
     params = {"k": k, "seed": args.seed, "normalize": args.normalize, "metric": "l2"}

@@ -90,30 +90,6 @@ def _check_k(n: int, k: int) -> None:
         raise CoreliteError(f"k must be in 1..{n}, got {k}")
 
 
-_NORM_ROWS = 32  # rows per block of _working_matrix's float32 buffer
-
-
-def _working_matrix(data: np.ndarray, normalize: bool) -> np.ndarray:
-    """`data` as float64, with rows scaled to unit L2 norm if `normalize`.
-
-    A block's squares are summed in its own rows of the result, and its
-    quotients are rounded to float32 before widening: the values of a float32
-    normalized matrix, without making one. Zero rows stay zero.
-    """
-    import numpy as np
-
-    if not normalize:
-        return np.ascontiguousarray(data, dtype=np.float64)
-    X = np.empty(data.shape)
-    quotients = np.empty((_NORM_ROWS, data.shape[1]), np.float32)
-    for lo in range(0, len(data), _NORM_ROWS):
-        rows, out = data[lo:lo + _NORM_ROWS], X[lo:lo + _NORM_ROWS]
-        norm = np.sqrt(np.square(rows, out=out, dtype=np.float64).sum(1, keepdims=True))
-        norm[norm == 0.0] = 1.0
-        out[...] = np.divide(rows, norm, out=quotients[:len(rows)])
-    return X
-
-
 def _min_center_dists(
     X: np.ndarray, sq_norms: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
@@ -130,15 +106,13 @@ def k_center_greedy(
     k: int,
     seed: int = 0,
     workers: int = 1,
-    normalize: bool = False,
 ) -> CoresetSelection:
     """Greedy farthest-first k-center selection under L2 distance.
 
     The first center is `uniform_index(seed, n)`; each later center is the
     point farthest from the current centers, ties broken by lowest index.
-    Distances are float64, over one working copy of `emb.data` whose rows
-    `normalize` scales to unit L2 norm (zero rows stay zero) with float32
-    rounding: the centers of the plain greedy on float32 normalized rows.
+    Distances are float64, computed over `emb.data` itself: the greedy makes
+    no copy of the matrix (`load_embeddings` normalizes rows as it reads).
 
     `workers` is accepted for compatibility and ignored: numpy's BLAS
     already spreads each distance GEMV over the available cores.
@@ -147,7 +121,7 @@ def k_center_greedy(
 
     n = emb.n
     _check_k(n, k)
-    X = _working_matrix(emb.data, normalize)
+    X = emb.data
     sq_norms = np.einsum("ij,ij->i", X, X)
 
     first = uniform_index(seed, n)

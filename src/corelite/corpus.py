@@ -27,6 +27,9 @@ EMB_MAGIC = b"EMB1"
 IMAGE_TOKEN_LEN = 32
 _MAX_TOKEN_ID = (1 << 32) - 1
 _MAX_COUNT = 1 << 53  # the largest count a float64 weight holds exactly
+_FINITE_ROWS = 1024  # rows per finiteness check, so its bool arrays stay small
+_READ_BYTES = 1 << 20  # load_embeddings' float32 buffer, a multiple of _NORM_ROWS rows
+_NORM_ROWS = 32  # rows normalized and widened at a time, so they stay in cache
 
 _ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
 # Over a string of code point classes (see _Classes): a word, or a letter that
@@ -127,15 +130,19 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Dense n x d matrix of per-instance feature vectors with row ids."""
+    """Dense n x d float64 matrix of per-instance feature vectors with row ids.
+
+    float32 data widens exactly; a C-contiguous float64 array is kept, not
+    copied, and both become read-only.
+    """
 
     ids: tuple[str, ...]
-    data: np.ndarray  # float32, shape (n, d)
+    data: np.ndarray  # float64, shape (n, d)
 
     def __post_init__(self):
         import numpy as np
 
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
+        arr = np.ascontiguousarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise CoreliteError("embedding data must be 2-D")
         if arr.shape[1] <= 0:
@@ -149,10 +156,10 @@ class EmbeddingMatrix:
                 raise CoreliteError(f"row {row}: embedding id holds CR or LF")
         if len(set(self.ids)) != len(self.ids):
             raise CoreliteError("embedding ids must be unique")
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            row = int(np.nonzero(bad.any(axis=1))[0][0])
-            raise CoreliteError(f"row {row}: non-finite value")
+        for lo in range(0, arr.shape[0], _FINITE_ROWS):
+            finite = np.isfinite(arr[lo:lo + _FINITE_ROWS]).all(axis=1)
+            if not finite.all():
+                raise CoreliteError(f"row {lo + int(finite.argmin())}: non-finite value")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -296,35 +303,53 @@ def load_token_corpus(path) -> list[TokenSequence]:
     return _jsonl_records(path, "tokens", TokenSequence)
 
 
-def load_embeddings(data_path, ids_path) -> EmbeddingMatrix:
-    """Read the EMB1 binary matrix plus its sidecar ids file.
+def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
+    """Read the EMB1 binary matrix, in chunks, into float64 rows, and its ids file.
 
-    This checks the format; `EmbeddingMatrix` checks the content, naming both files.
+    `normalize` scales rows to unit L2 norm as they are read, with float64
+    squares and quotients rounded to float32: the values of a float32
+    normalized matrix. Zero rows stay zero; a row with inf or NaN stays
+    non-finite. The format is checked first; `EmbeddingMatrix` checks the
+    content, naming both files.
     """
     import numpy as np
 
-    raw = Path(data_path).read_bytes()
-    if raw[:4] != EMB_MAGIC:
-        raise CoreliteError(f"{data_path}: bad magic, expected {EMB_MAGIC!r}")
-    if len(raw) < 12:
-        raise CoreliteError(f"{data_path}: truncated header")
-    n, d = struct.unpack_from("<II", raw, 4)
-    expected = 12 + 4 * n * d
-    if len(raw) != expected:
-        raise CoreliteError(
-            f"{data_path}: payload is {len(raw) - 12} bytes, expected {expected - 12}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=12).reshape(n, d)
+    with open(data_path, "rb") as fh:
+        header = fh.read(12)
+        if header[:4] != EMB_MAGIC:
+            raise CoreliteError(f"{data_path}: bad magic, expected {EMB_MAGIC!r}")
+        if len(header) < 12:
+            raise CoreliteError(f"{data_path}: truncated header")
+        n, d = struct.unpack_from("<II", header, 4)
+        size, want = os.fstat(fh.fileno()).st_size - 12, 4 * n * d
+        if size != want:
+            raise CoreliteError(f"{data_path}: payload is {size} bytes, expected {want}")
+        ids = [line.removesuffix("\n") for line in _open_text(ids_path)]
 
-    ids = [line.removesuffix("\n") for line in _open_text(ids_path)]
+        X = np.empty((n, d))
+        step = _NORM_ROWS * max(1, _READ_BYTES // (4 * _NORM_ROWS * max(d, 1)))
+        buf = np.empty((min(step, n), d), "<f4")
+        with np.errstate(invalid="ignore"):  # inf / inf: a row with inf stays non-finite
+            for lo in range(0, n if d else 0, step):  # d == 0 has nothing to read
+                rows, out = buf[:n - lo], X[lo:lo + step]
+                if fh.readinto(rows) != rows.nbytes:
+                    raise CoreliteError(f"{data_path}: file ended inside the payload")
+                for b in range(0, len(rows), _NORM_ROWS):
+                    block, dst = rows[b:b + _NORM_ROWS], out[b:b + _NORM_ROWS]
+                    if normalize:
+                        sq = np.square(block, out=dst, dtype=np.float64)
+                        norm = np.sqrt(sq.sum(1, keepdims=True))
+                        norm[norm == 0.0] = 1.0
+                        np.divide(block, norm, out=block)  # rounded to float32
+                    dst[...] = block
     try:
-        return EmbeddingMatrix(tuple(ids), data)
+        return EmbeddingMatrix(tuple(ids), X)
     except CoreliteError as exc:
         raise CoreliteError(f"{data_path}, {ids_path}: {exc}") from None
 
 
 def save_embeddings(matrix: EmbeddingMatrix, data_path, ids_path) -> None:
-    """Write the EMB1 binary matrix and sidecar ids file (one id per line, LF)."""
+    """Write the EMB1 matrix as float32 (exact for a loaded one) and one id per LF line."""
     import numpy as np
 
     out = bytearray(EMB_MAGIC + struct.pack("<II", matrix.n, matrix.d))

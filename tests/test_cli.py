@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,27 @@ class TestSelect:
         ]) == 0
         manifest = json.loads((tmp_path / "sel.json.manifest.json").read_text())
         assert manifest["parameters"]["normalize"] is normalize
+
+    @pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])
+    def test_one_working_matrix(self, tmp_path, flag):
+        # select holds one float64 n x d matrix and no float32 copy beside it.
+        import corelite.coreset  # noqa: F401  (imported before tracing starts)
+
+        n, d = 32768, 128
+        data = np.random.default_rng(2).standard_normal((n, d)).astype(np.float32)
+        ids = tuple(f"i{j}" for j in range(n))
+        save_embeddings(EmbeddingMatrix(ids, data), tmp_path / "e.bin", tmp_path / "e.ids")
+        del data
+        tracemalloc.start()
+        try:
+            rc = main(["select", "--embeddings", str(tmp_path / "e.bin"),
+                       "--ids", str(tmp_path / "e.ids"), "--k", "8", flag,
+                       "--out", str(tmp_path / "sel.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 1.3 * 8 * n * d, f"peak {peak / (8 * n * d):.2f}x the matrix"
 
 
 class TestGap:
@@ -683,6 +705,9 @@ class TestErrorLines:
         assert message.format(path=scores) in err
 
     K1 = ["--k", "1"]
+    # A 2 x 2 matrix whose second row holds inf: normalized, it becomes NaN.
+    INF_ROW = (b"EMB1" + bytes([2, 0, 0, 0, 2, 0, 0, 0])
+               + np.array([[1.0, 2.0], [np.inf, 1.0]], "<f4").tobytes())
 
     @pytest.mark.parametrize(
         "data,ids,size,message",
@@ -700,9 +725,16 @@ class TestErrorLines:
              "{ids}: starts with a UTF-8 byte-order mark"),
             (None, b"a\nb\n", ["--dataset", "nope"],
              "no default lite size for dataset 'nope'"),
+            # n = d = 2**32 - 1: the size check comes before any allocation.
+            (b"EMB1" + b"\xff" * 8 + bytes(8), b"", K1,
+             f"{{data}}: payload is 8 bytes, expected {4 * (2**32 - 1) ** 2}"),
+            (INF_ROW, b"a\nb\n", K1, "{data}, {ids}: row 1: non-finite value"),
+            (INF_ROW, b"a\nb\n", [*K1, "--no-normalize"],
+             "{data}, {ids}: row 1: non-finite value"),
         ],
         ids=["short-header", "d-0", "repeated-ids", "empty-id", "id-count", "nan",
-             "utf8-ids", "bom-ids", "unknown-dataset"],
+             "utf8-ids", "bom-ids", "unknown-dataset", "huge-header", "inf",
+             "inf-no-normalize"],
     )
     def test_bad_embeddings(self, tmp_path, capsys, data, ids, size, message):
         data_path, ids_path = tmp_path / "e.bin", tmp_path / "e.ids"

@@ -1,8 +1,11 @@
 import itertools
 import re
+import tempfile
 from dataclasses import astuple
 from functools import reduce
 from operator import add
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,17 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from corelite import CoreliteError
+from corelite import CoreliteError, corpus
 from corelite.coreset import (
-    _NORM_ROWS,
     CoresetSelection,
     _mean,
-    _working_matrix,
     k_center_greedy,
     subset_gap,
     uniform_index,
 )
-from corelite.corpus import EmbeddingMatrix
+from corelite.corpus import (
+    _NORM_ROWS,
+    _READ_BYTES,
+    EmbeddingMatrix,
+    load_embeddings,
+    save_embeddings,
+)
 from oracles import brute_force_k_center, coverage_radius, numpy_subset_gap
 
 
@@ -57,15 +64,19 @@ def normalize_rows_oracle(block):
     return (block / safe).astype(np.float32)
 
 
-def normalized_working_matrix(block):
-    """`_working_matrix(block, True)`, checked for its shape and dtype."""
-    out = _working_matrix(block, True)
-    assert out.dtype == np.float64 and out.shape == block.shape
-    return out
+def normalized_load(block, read_bytes=_READ_BYTES):
+    """`block` saved as EMB1 and loaded with `normalize=True`; checks shape and dtype."""
+    ids = tuple(f"p{i}" for i in range(len(block)))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(corpus, "_READ_BYTES", read_bytes):
+        save_embeddings(EmbeddingMatrix(ids, block), Path(tmp, "e.bin"), Path(tmp, "e.ids"))
+        emb = load_embeddings(Path(tmp, "e.bin"), Path(tmp, "e.ids"), normalize=True)
+    assert emb.data.dtype == np.float64 and emb.data.shape == block.shape
+    return emb
 
 
 class TestNormalizeRows:
-    """`select`'s row normalization, done as the greedy's float64 copy is made."""
+    """`select`'s row normalization, done as the EMB1 payload is read."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -84,24 +95,28 @@ class TestNormalizeRows:
         rows = len(block)
         zero = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
         block[np.asarray(zero, dtype=bool)] = 0.0
+        # 1 byte makes every read chunk _NORM_ROWS rows, so rows straddle chunks.
+        read_bytes = data.draw(st.sampled_from([1, _READ_BYTES]))
         expected = normalize_rows_oracle(block).astype(np.float64)
-        assert normalized_working_matrix(block).tobytes() == expected.tobytes()
+        assert normalized_load(block, read_bytes).data.tobytes() == expected.tobytes()
 
     def test_zero_row_untouched_and_unit_norms(self):
         block = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
-        out = normalized_working_matrix(block)
+        out = normalized_load(block).data
         assert out.tolist() == [[0.0, 0.0], [0.6000000238418579, 0.800000011920929]]
 
     def test_row_blocks_match_whole_matrix(self):
-        # Rows span two full blocks and a partial one, with zero rows at a
-        # block's first and last row.
+        # d is large enough that a read chunk is _NORM_ROWS rows: rows span
+        # two full chunks and a partial one, with zero rows at a chunk's first
+        # and last row.
+        d = _READ_BYTES // (4 * _NORM_ROWS) + 1
         rng = np.random.default_rng(0)
         n = 2 * _NORM_ROWS + 3
         scale = 10.0 ** rng.integers(-20, 20, (n, 1))
-        block = (rng.standard_normal((n, 5)) * scale).astype(np.float32)
+        block = (rng.standard_normal((n, d)) * scale).astype(np.float32)
         block[[_NORM_ROWS - 1, _NORM_ROWS]] = 0.0
         expected = normalize_rows_oracle(block).astype(np.float64)
-        assert normalized_working_matrix(block).tobytes() == expected.tobytes()
+        assert normalized_load(block).data.tobytes() == expected.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -115,8 +130,7 @@ class TestNormalizeRows:
     def test_greedy_matches_plain_greedy_on_normalized_rows(self, block, data):
         k = data.draw(st.integers(1, len(block)))
         seed = data.draw(st.integers(0, 2**32 - 1))
-        emb = emb_from(block)
-        normalized = k_center_greedy(emb, k, seed=seed, normalize=True)
+        normalized = k_center_greedy(normalized_load(block), k, seed=seed)
         plain = k_center_greedy(emb_from(normalize_rows_oracle(block)), k, seed=seed)
         assert normalized.center_indices == plain.center_indices
         assert normalized.coverage_radius.hex() == plain.coverage_radius.hex()

@@ -6,6 +6,7 @@ import os
 import re
 import unicodedata
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import corelite
 from corelite import CoreliteError
 from corelite.corpus import (
+    _FINITE_ROWS,
     EmbeddingMatrix,
     ScoreTable,
     TextDocument,
@@ -240,8 +242,9 @@ class TestEmbeddings:
     def test_zero_rows(self, tmp_path):
         m = EmbeddingMatrix((), np.zeros((0, 4), dtype=np.float32))
         save_embeddings(m, tmp_path / "e.bin", tmp_path / "e.ids")
-        loaded = load_embeddings(tmp_path / "e.bin", tmp_path / "e.ids")
-        assert loaded.n == 0 and loaded.d == 4
+        for normalize in (False, True):
+            loaded = load_embeddings(tmp_path / "e.bin", tmp_path / "e.ids", normalize)
+            assert loaded.n == 0 and loaded.d == 4
 
     def test_2x3_payload(self, tmp_path):
         data = np.arange(6, dtype=np.float32).reshape(2, 3)
@@ -258,6 +261,27 @@ class TestEmbeddings:
         with pytest.raises(CoreliteError, match="row 5: non-finite value"):
             EmbeddingMatrix(tuple(f"r{i}" for i in range(7)), data)
 
+    @pytest.mark.parametrize(
+        "rows,value",
+        [([0], np.nan), ([_FINITE_ROWS - 1], np.inf), ([_FINITE_ROWS], -np.inf),
+         ([2 * _FINITE_ROWS - 1], np.nan), ([2 * _FINITE_ROWS + 4], np.inf),
+         ([2 * _FINITE_ROWS + 1, _FINITE_ROWS + 3], np.nan)],
+        ids=["first", "chunk-end", "chunk-start", "second-chunk-end", "partial-chunk",
+             "first-of-two"],
+    )
+    def test_non_finite_reports_first_row(self, rows, value):
+        # The check runs in chunks of _FINITE_ROWS rows; 2 full chunks and 5 rows.
+        n = 2 * _FINITE_ROWS + 5
+        data = np.ones((n, 3))
+        data[rows, 1] = value
+        with pytest.raises(CoreliteError, match=f"^row {min(rows)}: non-finite value$"):
+            EmbeddingMatrix(tuple(f"r{i}" for i in range(n)), data)
+
+    def test_float64_data_is_kept_without_a_copy(self):
+        data = np.arange(6, dtype=np.float64).reshape(3, 2)
+        m = EmbeddingMatrix(("a", "b", "c"), data)
+        assert m.data is data and not m.data.flags.writeable
+
     @pytest.mark.parametrize("inst_id", ["a\rb", "a\nb", "a\r\n"])
     def test_id_with_line_break(self, inst_id):
         # save_embeddings writes one id per line, so such an id cannot be read back.
@@ -269,6 +293,16 @@ class TestEmbeddings:
         p.write_bytes(b"XXXX" + b"\x00" * 8)
         (tmp_path / "e.ids").write_text("")
         with pytest.raises(CoreliteError, match="bad magic"):
+            load_embeddings(p, tmp_path / "e.ids")
+
+    def test_file_ending_inside_payload(self, tmp_path, monkeypatch):
+        # A file that shrank after its size was checked: one error, not a
+        # matrix holding garbage.
+        p = tmp_path / "e.bin"
+        p.write_bytes(b"EMB1" + bytes([2, 0, 0, 0, 1, 0, 0, 0]) + bytes(4))
+        (tmp_path / "e.ids").write_text("a\nb\n")
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=12 + 8))
+        with pytest.raises(CoreliteError, match="e.bin: file ended inside the payload"):
             load_embeddings(p, tmp_path / "e.ids")
 
     def test_truncated_payload(self, tmp_path):
@@ -303,7 +337,10 @@ class TestEmbeddings:
         save_embeddings(EmbeddingMatrix(ids, data), tmp / "e.bin", tmp / "e.ids")
         loaded = load_embeddings(tmp / "e.bin", tmp / "e.ids")
         assert loaded.ids == ids
-        assert loaded.data.tobytes() == data.tobytes()
+        assert loaded.data.tobytes() == data.astype(np.float64).tobytes()
+        save_embeddings(loaded, tmp / "again.bin", tmp / "again.ids")
+        assert (tmp / "again.bin").read_bytes() == (tmp / "e.bin").read_bytes()
+        assert (tmp / "again.ids").read_bytes() == (tmp / "e.ids").read_bytes()
 
 
 class TestScores:

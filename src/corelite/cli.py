@@ -64,12 +64,10 @@ def _positive_int(text: str) -> int:
 def cmd_select(args) -> tuple[dict, dict]:
     from . import coreset
 
-    emb = load_embeddings(args.embeddings, args.ids, normalize=args.normalize)
-    k = args.k
+    k = args.k or coreset.LITE_K_DEFAULTS.get(args.dataset.lower())  # --k is ≥ 1
     if k is None:
-        k = coreset.LITE_K_DEFAULTS.get(args.dataset.lower())
-        if k is None:
-            raise CoreliteError(f"no default lite size for dataset {args.dataset!r}")
+        raise CoreliteError(f"no default lite size for dataset {args.dataset!r}")
+    emb = load_embeddings(args.embeddings, args.ids, normalize=args.normalize)
     sel = coreset.k_center_greedy(emb, k, seed=args.seed)
     center_ids = [emb.ids[i] for i in sel.center_indices]
     _write_json(args.out, {**asdict(sel), "center_ids": center_ids})
@@ -81,17 +79,16 @@ def cmd_gap(args) -> tuple[dict, dict]:
     from . import coreset
 
     # One model's per-instance scores in file order: the dataset column holds
-    # the instance id, so an id seen twice means rows of several models.
-    scores = load_scores(args.scores).entries
-    values = list(scores.values())
-    positions = {}
-    for i, (_, inst_id) in enumerate(scores):
-        if inst_id in positions:
-            raise CoreliteError(
-                f"{args.scores}: instance id {inst_id!r} appears more than once;"
-                " gap takes one model's per-instance scores"
-            )
-        positions[inst_id] = i
+    # the instance id, which load_scores keeps unique within a model.
+    table = load_scores(args.scores)
+    models = table.models()
+    if len(models) > 1:
+        raise CoreliteError(
+            f"{args.scores}: holds {len(models)} models ({', '.join(map(repr, models))});"
+            " gap takes one model's per-instance scores"
+        )
+    values = list(table.entries.values())
+    positions = {inst_id: i for i, (_, inst_id) in enumerate(table.entries)}
     sel = read_json(args.selection)
     center_ids = sel.get("center_ids") if isinstance(sel, dict) else None
     if not isinstance(center_ids, list) or not all(
@@ -106,7 +103,10 @@ def cmd_gap(args) -> tuple[dict, dict]:
             why = "appears more than once" if inst_id in subset else "not present in scores"
             raise CoreliteError(f"{args.selection}: selected id {inst_id!r} {why}")
         subset[inst_id] = positions[inst_id]
-    gap = coreset.subset_gap(values, list(subset.values()))
+    try:  # the selection was checked above, so a fault here is the scores'
+        gap = coreset.subset_gap(values, list(subset.values()))
+    except CoreliteError as exc:
+        raise CoreliteError(f"{args.scores}: {exc}") from None
     sizes = {"subset_size": len(subset), "total": len(values)}
     _write_json(args.out, {**asdict(gap), **sizes})
     print(f"gap={gap.gap}")
@@ -170,7 +170,10 @@ def cmd_aggregate(args) -> tuple[dict, dict]:
     scores = load_scores(args.scores)
     scales = scoring.load_scales(args.scales) if args.scales else ScaleSpec({})
     weighting = "instance_weighted" if args.weighted else "unweighted"
-    result = scoring.aggregate(scores, scales, weighting)
+    try:  # the scales were checked as they loaded, so a fault is the scores'
+        result = scoring.aggregate(scores, scales, weighting)
+    except CoreliteError as exc:
+        raise CoreliteError(f"{args.scores}: {exc}") from None
     per_model = {m: _sig6(v) for m, v in result.per_model.items()}
     _write_json(args.out, {**asdict(result), "per_model": per_model})
     inputs = {"scores": args.scores}

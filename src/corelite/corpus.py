@@ -28,8 +28,7 @@ IMAGE_TOKEN_LEN = 32
 _MAX_TOKEN_ID = (1 << 32) - 1
 _MAX_COUNT = 1 << 53  # the largest count a float64 weight holds exactly
 _FINITE_ROWS = 1024  # rows per finiteness check, so its bool arrays stay small
-_READ_BYTES = 1 << 20  # load_embeddings' float32 buffer, a multiple of _NORM_ROWS rows
-_NORM_ROWS = 32  # rows normalized and widened at a time, so they stay in cache
+_NORM_ROWS = 32  # EMB1 rows read, normalized and widened at a time, so they stay in cache
 
 _ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
 # Over a string of code point classes (see _Classes): a word, or a letter that
@@ -304,7 +303,7 @@ def load_token_corpus(path) -> list[TokenSequence]:
 
 
 def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
-    """Read the EMB1 binary matrix, in chunks, into float64 rows, and its ids file.
+    """Read the EMB1 binary matrix, 32 rows at a time, into float64 rows, and its ids file.
 
     `normalize` scales rows to unit L2 norm as they are read, with float64
     squares and quotients rounded to float32: the values of a float32
@@ -327,21 +326,18 @@ def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
         ids = [line.removesuffix("\n") for line in _open_text(ids_path)]
 
         X = np.empty((n, d))
-        step = _NORM_ROWS * max(1, _READ_BYTES // (4 * _NORM_ROWS * max(d, 1)))
-        buf = np.empty((min(step, n), d), "<f4")
+        buf = np.empty((min(_NORM_ROWS, n), d), "<f4")
         with np.errstate(invalid="ignore"):  # inf / inf: a row with inf stays non-finite
-            for lo in range(0, n if d else 0, step):  # d == 0 has nothing to read
-                rows, out = buf[:n - lo], X[lo:lo + step]
-                if fh.readinto(rows) != rows.nbytes:
+            for lo in range(0, n if d else 0, _NORM_ROWS):  # d == 0 has nothing to read
+                block, dst = buf[:n - lo], X[lo:lo + _NORM_ROWS]
+                if fh.readinto(block) != block.nbytes:
                     raise CoreliteError(f"{data_path}: file ended inside the payload")
-                for b in range(0, len(rows), _NORM_ROWS):
-                    block, dst = rows[b:b + _NORM_ROWS], out[b:b + _NORM_ROWS]
-                    if normalize:
-                        sq = np.square(block, out=dst, dtype=np.float64)
-                        norm = np.sqrt(sq.sum(1, keepdims=True))
-                        norm[norm == 0.0] = 1.0
-                        np.divide(block, norm, out=block)  # rounded to float32
-                    dst[...] = block
+                if normalize:
+                    sq = np.square(block, out=dst, dtype=np.float64)
+                    norm = np.sqrt(sq.sum(1, keepdims=True))
+                    norm[norm == 0.0] = 1.0
+                    np.divide(block, norm, out=block)  # rounded to float32
+                dst[...] = block
     try:
         return EmbeddingMatrix(tuple(ids), X)
     except CoreliteError as exc:

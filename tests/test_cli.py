@@ -7,10 +7,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from corelite import cli
 from corelite.cli import main
 from corelite.corpus import EmbeddingMatrix, TokenSequence, save_embeddings
 from corelite.decontam import ImageNGramIndex, build_image_index, save_index
@@ -91,6 +93,26 @@ class TestSelect:
         ])
         assert rc == 0
         assert json.loads(out.read_text())["k"] == 60
+
+    @pytest.mark.parametrize("files", ["present", "missing"])
+    def test_unknown_dataset_reads_no_embeddings(self, tmp_path, emb_files, capsys, files):
+        # --dataset resolves to k before the embeddings file is opened.
+        def loaded(*args, **kwargs):
+            pytest.fail("select read the embeddings before resolving --dataset")
+
+        guard = mock.patch.object(cli, "load_embeddings", side_effect=loaded)
+        if files == "missing":  # opening them would fail with another error
+            emb_files = (tmp_path / "missing.bin", tmp_path / "missing.ids")
+            guard = contextlib.nullcontext()
+        with guard:
+            rc = main(["select", "--embeddings", str(emb_files[0]),
+                       "--ids", str(emb_files[1]), "--dataset", "nope",
+                       "--out", str(tmp_path / "sel.json")])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "corelite: error: no default lite size for dataset 'nope'\n")
+        assert not (tmp_path / "sel.json").exists()
+        assert not (tmp_path / "sel.json.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "size", [[], ["--k", "3", "--dataset", "LLaVA-W"]], ids=["neither", "both"]
@@ -505,20 +527,30 @@ class TestErrorLines:
         assert rc == 1
         assert "expected a center_ids list" in self._one_error_line(capsys)
 
-    def test_gap_repeated_instance_id(self, tmp_path, capsys):
-        # Two models' rows for instance "a" would be averaged into one mean.
+    def _gap_rejects_two_models(self, tmp_path, capsys, rows):
         scores = tmp_path / "scores.csv"
-        scores.write_text("model,dataset,score\nm1,a,0\nm1,b,0\nm2,a,100\nm2,b,100\n")
+        scores.write_text("model,dataset,score\n" + rows)
         sel = tmp_path / "sel.json"
         sel.write_text(json.dumps({"center_ids": ["a"]}))
         rc = main(["gap", "--scores", str(scores), "--selection", str(sel),
                    "--out", str(tmp_path / "g.json")])
         assert rc == 1
         out, err = capsys.readouterr()
-        assert err.startswith("corelite: error: ") and err.count("\n") == 1
-        assert str(scores) in err and "'a'" in err
+        assert err == (
+            f"corelite: error: {scores}: holds 2 models ('m1', 'm2');"
+            " gap takes one model's per-instance scores\n"
+        )
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv", "sel.json"]
+
+    def test_gap_repeated_instance_id(self, tmp_path, capsys):
+        # Two models' rows for instance "a" would be averaged into one mean.
+        self._gap_rejects_two_models(
+            tmp_path, capsys, "m1,a,0\nm1,b,0\nm2,a,100\nm2,b,100\n")
+
+    def test_gap_two_models_disjoint_ids(self, tmp_path, capsys):
+        # No id repeats, yet the full mean would average two models.
+        self._gap_rejects_two_models(tmp_path, capsys, "m1,a,1\nm2,b,0\n")
 
     DEEP = "[" * 100_000 + "]" * 100_000
 
@@ -592,7 +624,7 @@ class TestErrorLines:
              "--out", str(tmp_path / "g.json")],
             ["scores.csv", "sel.json"],
         )
-        assert "overflow float64" in err
+        assert f"{scores}: score means or their gap overflow float64" in err
 
     def test_correlate_overflow_is_undefined(self, tmp_path, capsys):
         full = tmp_path / "full.csv"
@@ -685,14 +717,16 @@ class TestErrorLines:
              "{path}: line 2: unparseable count 'abc'"),
             (b"model,dataset,score,count\nm,a,1,0\n",
              "{path}: line 2: count must be positive"),
-            (b"model,dataset,score\n", "score table is empty"),
+            (b"model,dataset,score\n", "{path}: score table is empty"),
+            (b"model,dataset,score\nm,a,150\n",
+             "{path}: dataset 'a': score 150.0 exceeds the default (0, 100) scale"),
             (b"model,dataset,score\r\nm,a,1\r\nm\xff,b,1\r\n",
              "{path}: line 3: invalid UTF-8"),
             (b"\xef\xbb\xbfmodel,dataset,score\nm,a,1\n",
              "{path}: starts with a UTF-8 byte-order mark"),
         ],
         ids=["empty", "header", "two-columns", "score-inf", "count-abc", "count-0",
-             "header-only", "utf8", "bom"],
+             "header-only", "over-default-scale", "utf8", "bom"],
     )
     def test_bad_scores_csv(self, tmp_path, capsys, content, message):
         scores = tmp_path / "s.csv"
@@ -703,6 +737,17 @@ class TestErrorLines:
             ["s.csv"],
         )
         assert message.format(path=scores) in err
+
+    def test_weighted_without_count(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,dataset,score,count\nm,a,1,\n")
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["aggregate", "--scores", str(scores), "--weighted",
+             "--out", str(tmp_path / "agg.json")],
+            ["s.csv"],
+        )
+        assert f"{scores}: instance-weighted aggregation needs a count for ('m', 'a')" in err
 
     K1 = ["--k", "1"]
     # A 2 x 2 matrix whose second row holds inf: normalized, it becomes NaN.

@@ -5,7 +5,6 @@ from dataclasses import astuple
 from functools import reduce
 from operator import add
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from corelite import CoreliteError, corpus
+from corelite import CoreliteError
 from corelite.coreset import (
     CoresetSelection,
     _mean,
@@ -23,7 +22,6 @@ from corelite.coreset import (
 )
 from corelite.corpus import (
     _NORM_ROWS,
-    _READ_BYTES,
     EmbeddingMatrix,
     load_embeddings,
     save_embeddings,
@@ -64,11 +62,10 @@ def normalize_rows_oracle(block):
     return (block / safe).astype(np.float32)
 
 
-def normalized_load(block, read_bytes=_READ_BYTES):
+def normalized_load(block):
     """`block` saved as EMB1 and loaded with `normalize=True`; checks shape and dtype."""
     ids = tuple(f"p{i}" for i in range(len(block)))
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(corpus, "_READ_BYTES", read_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
         save_embeddings(EmbeddingMatrix(ids, block), Path(tmp, "e.bin"), Path(tmp, "e.ids"))
         emb = load_embeddings(Path(tmp, "e.bin"), Path(tmp, "e.ids"), normalize=True)
     assert emb.data.dtype == np.float64 and emb.data.shape == block.shape
@@ -95,10 +92,8 @@ class TestNormalizeRows:
         rows = len(block)
         zero = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
         block[np.asarray(zero, dtype=bool)] = 0.0
-        # 1 byte makes every read chunk _NORM_ROWS rows, so rows straddle chunks.
-        read_bytes = data.draw(st.sampled_from([1, _READ_BYTES]))
         expected = normalize_rows_oracle(block).astype(np.float64)
-        assert normalized_load(block, read_bytes).data.tobytes() == expected.tobytes()
+        assert normalized_load(block).data.tobytes() == expected.tobytes()
 
     def test_zero_row_untouched_and_unit_norms(self):
         block = np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32)
@@ -106,10 +101,9 @@ class TestNormalizeRows:
         assert out.tolist() == [[0.0, 0.0], [0.6000000238418579, 0.800000011920929]]
 
     def test_row_blocks_match_whole_matrix(self):
-        # d is large enough that a read chunk is _NORM_ROWS rows: rows span
-        # two full chunks and a partial one, with zero rows at a chunk's first
-        # and last row.
-        d = _READ_BYTES // (4 * _NORM_ROWS) + 1
+        # Wide rows (a 32-row block is over 1 MiB) span two full blocks and a
+        # partial one, with zero rows at a block's last and the next one's first row.
+        d = 8193
         rng = np.random.default_rng(0)
         n = 2 * _NORM_ROWS + 3
         scale = 10.0 ** rng.integers(-20, 20, (n, 1))

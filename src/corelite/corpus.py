@@ -14,9 +14,10 @@ import math
 import os
 import re
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import CoreliteError
 
@@ -31,8 +32,8 @@ _FINITE_ROWS = 1024  # rows per finiteness check, so its bool arrays stay small
 _NORM_ROWS = 32  # EMB1 rows read, normalized and widened at a time, so they stay in cache
 
 _ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
-# Over a string of code point classes (see _Classes): a word, or a letter that
-# is a token alone; either takes the combining marks that follow it.
+# Over a string of code point classes (see _code_point_class): a word, or a
+# letter that is a token alone; either takes the combining marks that follow it.
 _CLASS_TOKEN_RE = re.compile(r"w[wm]*|sm*")
 # Letters that are each a token: CJK ideographs (the ranges of BERT's basic
 # tokenizer), then Hiragana and Katakana.
@@ -42,26 +43,30 @@ _SOLO_RANGES = (
 )
 
 
-class _Classes(dict):
-    """Code point -> class, each classified once, when first seen.
+class _Memo(dict):
+    """x -> f(x), computed once per distinct x; a hit is a plain dict lookup."""
 
-    "w" a letter or digit, "s" one that is a token alone, "m" a combining mark
-    (Mn, Mc, Me), " " anything else, such as punctuation or a lone surrogate.
+    def __init__(self, f: Callable):
+        self.f = f
+
+    def __missing__(self, x):
+        self[x] = y = self.f(x)
+        return y
+
+
+def _code_point_class(cp: int) -> str:
+    """Class of a code point: "w" a letter or digit, "s" one that is a token alone,
+    "m" a combining mark (Mn, Mc, Me), " " anything else (punctuation, lone surrogates).
     """
+    import unicodedata
 
-    def __missing__(self, cp: int) -> str:
-        import unicodedata
-
-        char = chr(cp)
-        if char.isalnum():
-            cls = "s" if any(lo <= cp <= hi for lo, hi in _SOLO_RANGES) else "w"
-        else:
-            cls = "m" if unicodedata.category(char) in ("Mn", "Mc", "Me") else " "
-        self[cp] = cls
-        return cls
+    char = chr(cp)
+    if char.isalnum():
+        return "s" if any(lo <= cp <= hi for lo, hi in _SOLO_RANGES) else "w"
+    return "m" if unicodedata.category(char) in ("Mn", "Mc", "Me") else " "
 
 
-_CLASSES = _Classes()
+_CLASSES = _Memo(_code_point_class)
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -86,7 +91,9 @@ def tokenize_text(text: str) -> list[str]:
 
 
 def _check_id(record_id: str, kind: str) -> None:
-    """A record id is non-empty, and UTF-8 can encode it for the JSON reports."""
+    """A record id is a non-empty string, and UTF-8 can encode it for the JSON reports."""
+    if not isinstance(record_id, str):
+        raise CoreliteError("id must be a string")
     if not record_id:
         raise CoreliteError(f"{kind} id must be non-empty")
     try:
@@ -151,6 +158,8 @@ class EmbeddingMatrix:
         if "" in self.ids:
             raise CoreliteError(f"row {self.ids.index('')}: empty embedding id")
         for row, inst_id in enumerate(self.ids):  # the ids file is line-based
+            if not isinstance(inst_id, str):
+                raise CoreliteError(f"row {row}: embedding id must be a string")
             if "\r" in inst_id or "\n" in inst_id:
                 raise CoreliteError(f"row {row}: embedding id holds CR or LF")
         if len(set(self.ids)) != len(self.ids):
@@ -172,6 +181,24 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
 
+def _is_finite_number(x) -> bool:
+    """An int or float, not a bool, that float64 holds finite: not inf, nan or 10**400."""
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return number and abs(x) <= sys.float_info.max
+
+
+def _check_score(score) -> None:
+    if not _is_finite_number(score):
+        raise CoreliteError("score must be finite")
+
+
+def _check_count(count: int) -> None:
+    if count <= 0:
+        raise CoreliteError("count must be positive")
+    if count > _MAX_COUNT:
+        raise CoreliteError("count must be at most 2**53")
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """(model, dataset) -> recorded raw score, optionally with instance counts."""
@@ -180,14 +207,12 @@ class ScoreTable:
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, score in self.entries.items():
-            if not math.isfinite(score):
-                raise CoreliteError(f"score for {key} is not finite")
-        for key, count in self.counts.items():
-            if count <= 0:
-                raise CoreliteError(f"count for {key} must be positive")
-            if count > _MAX_COUNT:
-                raise CoreliteError(f"count for {key} must be at most 2**53")
+        for fields, check in ((self.entries, _check_score), (self.counts, _check_count)):
+            for key, value in fields.items():
+                try:
+                    check(value)
+                except CoreliteError as exc:
+                    raise CoreliteError(f"{key}: {exc}") from None
 
     def models(self) -> list[str]:
         return sorted({m for m, _ in self.entries})
@@ -198,16 +223,20 @@ class ScoreTable:
 
 @dataclass(frozen=True)
 class ScaleSpec:
-    """Per-dataset (min, max) normalization ranges; max - min positive and finite."""
+    """Per-dataset (min, max) float ranges: finite bounds, max - min positive and finite."""
 
     scales: dict[str, tuple[float, float]]
 
     def __post_init__(self):
+        scales = {}
         for dataset, (lo, hi) in self.scales.items():
+            where = f"scale for {dataset!r}: "
+            if not (_is_finite_number(lo) and _is_finite_number(hi)):
+                raise CoreliteError(f"{where}min and max must be numbers (finite, unquoted)")
+            lo, hi = scales[dataset] = float(lo), float(hi)
             if not (hi > lo and math.isfinite(hi - lo)):
-                raise CoreliteError(
-                    f"scale for {dataset!r}: max must exceed min by a finite amount"
-                )
+                raise CoreliteError(f"{where}max must exceed min by a finite amount")
+        object.__setattr__(self, "scales", scales)
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -255,8 +284,8 @@ def _jsonl_records(path, field_name: str, make) -> list:
     """Build `make(id, record[field_name])` for each JSONL record, in file order.
 
     Lines end at LF (a CR before it is whitespace); blank lines are skipped.
-    Every record must be a JSON object with a string id, unique within the
-    file, and the named field, which `make` checks. Errors name file and line.
+    Every record must be a JSON object with an id, unique within the file,
+    and the named field; `make` checks both. Errors name file and line.
     """
     seen: set[str] = set()
     records = []
@@ -272,13 +301,11 @@ def _jsonl_records(path, field_name: str, make) -> list:
                 for name in ("id", field_name):
                     if name not in rec:
                         raise CoreliteError(f"missing field {name}")
-                rec_id = rec["id"]
-                if not isinstance(rec_id, str):
-                    raise CoreliteError("id must be a string")
-                if rec_id in seen:
-                    raise CoreliteError(f"duplicate id {rec_id!r}")
-                seen.add(rec_id)
-                records.append(make(rec_id, rec[field_name]))
+                record = make(rec["id"], rec[field_name])
+                if record.id in seen:
+                    raise CoreliteError(f"duplicate id {record.id!r}")
+                seen.add(record.id)
+                records.append(record)
                 continue
             except UnicodeDecodeError as exc:
                 message = f"invalid UTF-8 ({exc.reason})"
@@ -376,34 +403,27 @@ def load_scores(path) -> ScoreTable:
     if header[:3] != ["model", "dataset", "score"]:
         raise CoreliteError(f"{path}: header must start with model,dataset,score")
     has_count = len(header) > 3 and header[3] == "count"
-
-    def bad(msg: str) -> CoreliteError:  # the message for the current row
-        return CoreliteError(f"{path}: line {line}: {msg}")
-
     for line, row in rows:
         if not row:
             continue
-        if len(row) < 3:
-            raise bad("expected at least 3 columns")
-        model, dataset = row[0], row[1]
         try:
-            score = float(row[2])
-        except ValueError:
-            raise bad(f"unparseable score {row[2]!r}") from None
-        if not math.isfinite(score):
-            raise bad("score must be finite")
-        key = (model, dataset)
-        if key in entries:
-            raise bad(f"duplicate (model, dataset) pair {key}")
-        entries[key] = score
-        if has_count and len(row) > 3 and row[3] != "":
+            if len(row) < 3:
+                raise CoreliteError("expected at least 3 columns")
             try:
-                count = int(row[3])
+                score = float(row[2])
             except ValueError:
-                raise bad(f"unparseable count {row[3]!r}") from None
-            if count <= 0:
-                raise bad("count must be positive")
-            if count > _MAX_COUNT:
-                raise bad("count must be at most 2**53")
-            counts[key] = count
+                raise CoreliteError(f"unparseable score {row[2]!r}") from None
+            _check_score(score)
+            key = (row[0], row[1])
+            if key in entries:
+                raise CoreliteError(f"duplicate (model, dataset) pair {key}")
+            entries[key] = score
+            if has_count and len(row) > 3 and row[3] != "":
+                try:
+                    counts[key] = count = int(row[3])
+                except ValueError:
+                    raise CoreliteError(f"unparseable count {row[3]!r}") from None
+                _check_count(count)
+        except CoreliteError as exc:
+            raise CoreliteError(f"{path}: line {line}: {exc}") from None
     return ScoreTable(entries, counts)

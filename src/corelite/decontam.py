@@ -22,13 +22,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, starmap
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import NoReturn
 
 from . import CoreliteError
 from .corpus import (
     IMAGE_TOKEN_LEN,
     TextDocument,
     TokenSequence,
+    _Memo,
     tokenize_text,
     write_atomic,
 )
@@ -58,17 +59,6 @@ def fnv1a64(data: bytes) -> int:
 def _text_token_bytes(token: str) -> bytes:
     raw = token.encode("utf-8")
     return _U32.pack(len(raw)) + raw
-
-
-class _Memo(dict):
-    """x -> f(x), computed once per distinct x: per-call token encodings and hashes."""
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def __missing__(self, x):
-        self[x] = y = self.f(x)
-        return y
 
 
 def _split_words(key: bytes) -> list[bytes]:
@@ -162,8 +152,9 @@ class TextNGramIndex:
     and its UTF-8), or in hashed mode their 64-bit FNV-1a (memory saver at
     scale; identical scan results absent collisions). `meaningless_tokens`
     holds per-token encodings, or their FNV-1a when hashed. A hashed build
-    takes a meaningless key's tokens from the window that first passed the
-    threshold, so a colliding key misses its other windows' tokens.
+    takes a meaningless key's tokens from the window that took its count past
+    the threshold (all copies of a training text count at once there), so a
+    colliding key misses its other windows' tokens.
     """
 
     n: int
@@ -224,8 +215,10 @@ def build_text_index(
 ) -> TextNGramIndex:
     """Count all word n-grams in the training corpus and derive the meaningless sets.
 
-    One pass: a hashed key keeps no tokens, so its window that first passes
-    `freq_threshold` gives them (the key's own, absent a 64-bit collision).
+    Each distinct text is tokenized once, and its windows are counted as
+    often as the corpus holds it. One pass: a hashed key keeps no tokens, so
+    the window whose copies take its count past `freq_threshold` gives them
+    (the key's own, absent a 64-bit collision).
     """
     _check_n(_KIND_TEXT, n)
     _check_freq(freq_threshold)
@@ -233,15 +226,17 @@ def build_text_index(
 
     table: Counter = Counter()
     tokens = set()
-    for doc in train:
-        encoded = list(map(encode, tokenize_text(doc.text)))
+    for text, times in Counter(doc.text for doc in train).items():
+        encoded = list(map(encode, tokenize_text(text)))
         windows = _text_windows(encoded, n)
         if not hashed:
-            table.update(windows)
+            for _ in range(times):
+                table.update(windows)
             continue
         for pos, key in enumerate(map(fnv1a64, windows)):
-            table[key] = count = table.get(key, 0) + 1
-            if count == freq_threshold + 1:
+            old = table.get(key, 0)
+            table[key] = old + times
+            if old <= freq_threshold < old + times:
                 tokens.update(encoded[pos : pos + n])
 
     return _text_index(n, freq_threshold, hashed, dict(table), map(fnv1a64, tokens))

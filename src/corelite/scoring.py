@@ -26,21 +26,11 @@ def load_scales(path) -> ScaleSpec:
     try:
         if not isinstance(raw, dict):
             raise CoreliteError("expected a JSON object of dataset scales")
-        scales: dict[str, tuple[float, float]] = {}
+        scales = {}
         for dataset, spec in raw.items():
             if not isinstance(spec, dict) or "min" not in spec or "max" not in spec:
                 raise CoreliteError(f"scale for {dataset!r} must have min and max")
-            bounds = (spec["min"], spec["max"])
-            if not all(
-                isinstance(b, (int, float)) and not isinstance(b, bool)
-                and abs(b) <= sys.float_info.max  # false for inf and nan
-                for b in bounds
-            ):
-                raise CoreliteError(
-                    f"scale for {dataset!r}: min and max must be numbers"
-                    " (finite, unquoted)"
-                )
-            scales[dataset] = (float(bounds[0]), float(bounds[1]))
+            scales[dataset] = (spec["min"], spec["max"])
         return ScaleSpec(scales)
     except CoreliteError as exc:
         raise CoreliteError(f"{path}: {exc}") from None

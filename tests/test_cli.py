@@ -552,6 +552,21 @@ class TestErrorLines:
         # No id repeats, yet the full mean would average two models.
         self._gap_rejects_two_models(tmp_path, capsys, "m1,a,1\nm2,b,0\n")
 
+    def test_non_finite_result_not_written(self, tmp_path, capsys):
+        # JSON cannot hold NaN: one error line, and no output file.
+        from corelite import scoring
+
+        scores = tmp_path / "s.csv"
+        scores.write_text("model,dataset,score\nm1,a,40.0\n")
+        out = tmp_path / "agg.json"
+        result = scoring.AggregateResult({"m1": float("nan")}, "unweighted")
+        with mock.patch.object(scoring, "aggregate", return_value=result):
+            err = self._fails_cleanly(
+                tmp_path, capsys, ["aggregate", "--scores", str(scores), "--out", str(out)],
+                ["s.csv"],
+            )
+        assert err.startswith(f"corelite: error: {out}: Out of range float values")
+
     DEEP = "[" * 100_000 + "]" * 100_000
 
     def _fails_cleanly(self, tmp_path, capsys, argv, inputs):

@@ -420,3 +420,7 @@ class TestSelectionInvariants:
     def test_k_mismatch_enforced(self):
         with pytest.raises(CoreliteError, match="exactly k"):
             CoresetSelection((0,), 1.0, k=2, seed=0)
+
+    def test_negative_radius_enforced(self):
+        with pytest.raises(CoreliteError, match="coverage radius must be non-negative"):
+            CoresetSelection((0,), -1.0, k=1, seed=0)

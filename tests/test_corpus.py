@@ -178,9 +178,12 @@ class TestRecordRules:
             ("text", {"id": "a\ud800", "text": "x"}, "document id holds a lone surrogate"),
             ("tokens", {"id": "\udfffb", "tokens": list(range(32))},
              "sequence id holds a lone surrogate"),
+            ("text", {"id": 5, "text": "x"}, "id must be a string"),
+            ("tokens", {"id": 5, "tokens": list(range(32))}, "id must be a string"),
         ],
         ids=["empty-id", "text-not-str", "wrong-length", "token-range", "tokens-str",
-             "tokens-float", "tokens-bool", "text-id-surrogate", "tokens-id-surrogate"],
+             "tokens-float", "tokens-bool", "text-id-surrogate", "tokens-id-surrogate",
+             "text-id-int", "tokens-id-int"],
     )
     def test_type_rule_and_line(self, tmp_path, field, record, message):
         make, loader, good = {
@@ -281,6 +284,16 @@ class TestEmbeddings:
         data = np.arange(6, dtype=np.float64).reshape(3, 2)
         m = EmbeddingMatrix(("a", "b", "c"), data)
         assert m.data is data and not m.data.flags.writeable
+
+    @pytest.mark.parametrize(
+        "ids,data,message",
+        [(("a", "b", "c"), np.zeros(3), "embedding data must be 2-D"),
+         (("a", 5), np.zeros((2, 1)), "row 1: embedding id must be a string")],
+        ids=["data-1-d", "id-int"],
+    )
+    def test_matrix_rule(self, ids, data, message):
+        with pytest.raises(CoreliteError, match=f"^{re.escape(message)}$"):
+            EmbeddingMatrix(ids, data)
 
     @pytest.mark.parametrize("inst_id", ["a\rb", "a\nb", "a\r\n"])
     def test_id_with_line_break(self, inst_id):
@@ -404,9 +417,14 @@ class TestScores:
 
     @pytest.mark.parametrize(
         "entries,counts,message",
-        [({("m1", "a"): math.nan}, {}, "score for ('m1', 'a') is not finite"),
-         ({("m1", "a"): -math.inf}, {}, "score for ('m1', 'a') is not finite"),
-         ({("m1", "a"): 1.0}, {("m1", "a"): 0}, "count for ('m1', 'a') must be positive")],
+        [({("m1", "a"): math.nan}, {}, "('m1', 'a'): score must be finite"),
+         ({("m1", "a"): -math.inf}, {}, "('m1', 'a'): score must be finite"),
+         ({("m1", "a"): 10**400}, {}, "('m1', 'a'): score must be finite"),
+         ({("m1", "a"): "1"}, {}, "('m1', 'a'): score must be finite"),
+         ({("m1", "a"): True}, {}, "('m1', 'a'): score must be finite"),
+         ({("m1", "a"): 1.0}, {("m1", "a"): 0}, "('m1', 'a'): count must be positive")],
+        ids=["score-nan", "score-inf", "score-huge-int", "score-str", "score-bool",
+             "count-0"],
     )
     def test_score_table_checks_its_fields(self, entries, counts, message):
         with pytest.raises(CoreliteError, match=f"^{re.escape(message)}$"):

@@ -53,7 +53,42 @@ def text_key(tokens):
     return b"".join(map(token_key, tokens))
 
 
+def text_index_oracle(train, n, freq_threshold, hashed):
+    """Table, meaningless keys and tokens, counting one document at a time."""
+    table, hashed_tokens = Counter(), set()
+    for d in train:
+        encoded = [token_key(t) for t in tokenize_text(d.text)]
+        for pos in range(len(encoded) - n + 1):
+            window = encoded[pos : pos + n]
+            key = fnv1a64(b"".join(window)) if hashed else b"".join(window)
+            table[key] += 1
+            if table[key] == freq_threshold + 1:  # the window that crosses it
+                hashed_tokens.update(map(fnv1a64, window))
+    meaningless = {k for k, c in table.items() if c > freq_threshold}
+    exact_tokens = {t for k in meaningless if not hashed for t in _split_words(k)}
+    return dict(table), meaningless, hashed_tokens if hashed else exact_tokens
+
+
 class TestBuildTextIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from("abc"), max_size=10).map(" ".join),
+                       min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), max_size=16),
+        n=st.integers(1, 3),
+        freq_threshold=st.integers(1, 6),
+        hashed=st.booleans(),
+    )
+    def test_repeated_texts_match_one_document_at_a_time(
+        self, texts, picks, n, freq_threshold, hashed
+    ):
+        # Copies of a text count together, so a threshold can fall inside one
+        # text's multiplicity: the result must not tell.
+        train = [doc(f"d{i}", texts[p % len(texts)]) for i, p in enumerate(picks)]
+        index = build_text_index(train, n=n, freq_threshold=freq_threshold, hashed=hashed)
+        got = (index.table, index.meaningless, index.meaningless_tokens)
+        assert got == text_index_oracle(train, n, freq_threshold, hashed)
+
     def test_short_document_emits_nothing(self):
         index = build_text_index([doc("a", words(7))])
         assert index.table == {}
@@ -91,13 +126,14 @@ class TestBuildTextIndex:
         assert 0 < len(a.meaningless) < len(a.table)
 
     def test_hashed_build_reads_corpus_once(self):
-        docs = [doc(f"d{i}", words(9)) for i in range(3)]
+        # Three copies of one text and one other: each distinct text once.
+        docs = [doc(f"d{i}", words(9)) for i in range(3)] + [doc("e", words(9, "e"))]
         with mock.patch(
             "corelite.decontam.tokenize_text", wraps=tokenize_text
         ) as spy:
             index = build_text_index(docs, freq_threshold=2, hashed=True)
         assert index.meaningless
-        assert spy.call_count == len(docs)
+        assert spy.call_count == len({d.text for d in docs}) == 2
 
     def test_invalid_params(self):
         with pytest.raises(CoreliteError):
@@ -414,6 +450,11 @@ class TestSerialization:
         save_index(index, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
+    def test_save_rejects_other_objects(self, tmp_path):
+        with pytest.raises(CoreliteError, match="^cannot serialize dict$"):
+            save_index({}, tmp_path / "x.bin")
+        assert not any(tmp_path.iterdir())
+
     def test_bad_magic(self, tmp_path):
         (tmp_path / "x.bin").write_bytes(b"WRONG...")
         with pytest.raises(CoreliteError, match="bad magic"):
@@ -454,6 +495,13 @@ class TestForgedHeaders:
         body = struct.pack("<Q", 1) + bytes(4 * n) + struct.pack("<QQ", 5, 0)
         with pytest.raises(CoreliteError, match="n must be in 1..32"):
             load_index(_forged(tmp_path, n, 1, 0, body))
+
+    def test_exact_text_record_cut_in_key_length(self, tmp_path):
+        # One entry announced; the file ends 2 bytes into its u32 key length.
+        path = _forged(tmp_path, 8, 0, 0, struct.pack("<Q", 1) + b"\x03\x00")
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: truncated index file"
 
     def test_text_n_zero(self, tmp_path):
         path = _forged(tmp_path, 0, 0, 0, struct.pack("<Q", 0))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -397,6 +398,10 @@ class TestLoadScales:
         ids=["str-inf", "str-0", "true", "null", "-Infinity", "NaN", "1e400", "10**400"],
     )
     def test_non_finite_or_quoted_bound_rejected(self, tmp_path, bound):
+        # ScaleSpec holds the rule; load_scales only adds the file.
+        for bounds in [(json.loads(bound), 2800), (0, json.loads(bound))]:
+            with pytest.raises(CoreliteError, match="^scale for 'mme': min and max must"):
+                ScaleSpec({"mme": bounds})
         p = tmp_path / "scales.json"
         p.write_text(f'{{"mme": {{"min": {bound}, "max": 2800}}}}')
         with pytest.raises(CoreliteError, match="must be numbers"):
@@ -416,3 +421,23 @@ class TestLoadScales:
         p = tmp_path / "scales.json"
         p.write_text('{"a": {"min": -1, "max": 2.5}, "b": {"min": 0.5, "max": 1e300}}')
         assert load_scales(p).scales == {"a": (-1.0, 2.5), "b": (0.5, 1e300)}
+        given = {"a": (-1, 2.5)}
+        spec = ScaleSpec(given)
+        assert given == {"a": (-1, 2.5)} and type(given["a"][0]) is int
+        assert spec.scales == {"a": (-1.0, 2.5)} and type(spec.scales["a"][0]) is float
+
+
+ONE = ScoreTable({("m1", "a"): 1.0})
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: aggregate(ONE, ScaleSpec({}), weighting="median"),
+      "unknown weighting 'median'"),
+     (lambda: pearson([1.0], [2.0]), "correlation needs at least 2 points"),
+     (lambda: correlate_lite(ONE, ONE, method="kendall"), "unknown method 'kendall'")],
+    ids=["weighting", "pearson-one-point", "method"],
+)
+def test_argument_rejected(call, message):
+    with pytest.raises(CoreliteError, match=f"^{message}$"):
+        call()

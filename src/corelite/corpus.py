@@ -193,6 +193,8 @@ def _check_score(score) -> None:
 
 
 def _check_count(count: int) -> None:
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise CoreliteError("count must be an integer")
     if count <= 0:
         raise CoreliteError("count must be positive")
     if count > _MAX_COUNT:
@@ -213,6 +215,14 @@ class ScoreTable:
                     check(value)
                 except CoreliteError as exc:
                     raise CoreliteError(f"{key}: {exc}") from None
+
+    @classmethod
+    def _checked(cls, entries, counts) -> "ScoreTable":
+        """A table whose every score and count the caller has already checked."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "entries", entries)
+        object.__setattr__(table, "counts", counts)
+        return table
 
     def models(self) -> list[str]:
         return sorted({m for m, _ in self.entries})
@@ -426,4 +436,4 @@ def load_scores(path) -> ScoreTable:
                 _check_count(count)
         except CoreliteError as exc:
             raise CoreliteError(f"{path}: line {line}: {exc}") from None
-    return ScoreTable(entries, counts)
+    return ScoreTable._checked(entries, counts)  # row by row above, with the line

@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare the library against.
 
 Exact k-center solvers for the greedy, the earlier numpy subset gap for its
-plain-Python means, and a tokenizer that reads one code point at a time.
+plain-Python means, a tokenizer that reads one code point at a time, and the
+byte-at-a-time FNV-1a that the hashed n-gram keys are checked against.
 """
 
 import itertools
@@ -117,3 +118,11 @@ def unicode_tokenize_text(text: str) -> list[str]:
             word = ""
     tokens.append(word)
     return [t for t in tokens if t]
+
+
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a over a byte string, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h

@@ -7,6 +7,7 @@ import re
 import unicodedata
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -401,6 +402,19 @@ class TestScores:
         table = load_scores(p)
         assert table.counts[("m1", "ai2d")] == 3088
 
+    def test_each_row_is_checked_once(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("model,dataset,score,count\nm1,a,1,3\nm1,b,2,\nm2,a,0.5,7\n")
+        rules = corelite.corpus
+        with mock.patch.object(rules, "_check_score", wraps=rules._check_score) as score, \
+             mock.patch.object(rules, "_check_count", wraps=rules._check_count) as count:
+            table = load_scores(p)
+        assert (score.call_count, count.call_count) == (3, 2)
+        assert table == ScoreTable(
+            {("m1", "a"): 1.0, ("m1", "b"): 2.0, ("m2", "a"): 0.5},
+            {("m1", "a"): 3, ("m2", "a"): 7},
+        )
+
     def test_count_bound_is_two_to_the_53(self, tmp_path):
         # 2**53 is the largest count a float64 weight holds exactly.
         p = tmp_path / "s.csv"
@@ -422,9 +436,12 @@ class TestScores:
          ({("m1", "a"): 10**400}, {}, "('m1', 'a'): score must be finite"),
          ({("m1", "a"): "1"}, {}, "('m1', 'a'): score must be finite"),
          ({("m1", "a"): True}, {}, "('m1', 'a'): score must be finite"),
-         ({("m1", "a"): 1.0}, {("m1", "a"): 0}, "('m1', 'a'): count must be positive")],
+         ({("m1", "a"): 1.0}, {("m1", "a"): 0}, "('m1', 'a'): count must be positive"),
+         ({("m1", "a"): 1.0}, {("m1", "a"): 2.5}, "('m1', 'a'): count must be an integer"),
+         ({("m1", "a"): 1.0}, {("m1", "a"): True}, "('m1', 'a'): count must be an integer"),
+         ({("m1", "a"): 1.0}, {("m1", "a"): "3"}, "('m1', 'a'): count must be an integer")],
         ids=["score-nan", "score-inf", "score-huge-int", "score-str", "score-bool",
-             "count-0"],
+             "count-0", "count-float", "count-bool", "count-str"],
     )
     def test_score_table_checks_its_fields(self, entries, counts, message):
         with pytest.raises(CoreliteError, match=f"^{re.escape(message)}$"):

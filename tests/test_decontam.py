@@ -6,7 +6,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corelite import CoreliteError
@@ -15,12 +15,13 @@ from corelite.decontam import (
     ContaminationCategory,
     InstanceOverlap,
     NGI_MAGIC,
+    _BATCH,
     _Reader,
     _split_words,
     build_image_index,
     build_text_index,
     categorize,
-    fnv1a64,
+    fnv1a64_many,
     hash_text_ngram,
     load_index,
     overlap_ratio,
@@ -28,6 +29,7 @@ from corelite.decontam import (
     scan_image,
     scan_text,
 )
+from oracles import fnv1a64
 
 
 def doc(doc_id, text):
@@ -368,6 +370,53 @@ class TestHashMode:
         exact = scan_image(bench, build_image_index(train))
         hashed = scan_image(bench, build_image_index(train, hashed=True))
         assert exact == hashed
+
+
+class TestFnvLanes:
+    """fnv1a64_many, all keys at once, against the byte-at-a-time oracle."""
+
+    # A small alphabet with the padding byte gives prefixes, equal lengths and
+    # keys that end in b"\0"; arbitrary bytes give everything else.
+    KEYS = st.lists(
+        st.one_of(
+            st.binary(max_size=40),
+            st.lists(st.sampled_from(b"\0\1\xff"), max_size=6).map(bytes),
+        ),
+        max_size=30,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(KEYS)
+    @example([])
+    @example([b"", b""])
+    @example([b"a\0", b"a", b"\0", b"", b"\0\0"])  # the padding byte
+    @example([b"ab", b"abcd", b"", b"abc", b"a"])  # prefixes of one another
+    @example([b"abcd", b"\0\0\0\0", b"wxy\0", b"abcd"])  # all of one length
+    def test_matches_the_oracle(self, keys):
+        assert fnv1a64_many(keys) == list(map(fnv1a64, keys))
+
+    def test_more_keys_than_one_batch(self):
+        rng = random.Random(7)
+        keys = [rng.randbytes(rng.randrange(80)) for _ in range(2 * _BATCH + 3)]
+        assert fnv1a64_many(keys) == list(map(fnv1a64, keys))
+
+    def test_hashed_build_splits_batches_between_documents(self):
+        # Skewed three-word texts repeat some 8-grams past the threshold. The
+        # windows before the third document fall short of a batch, its own
+        # take them past it, and the last document alone holds more.
+        rng = random.Random(11)
+        per_doc = _BATCH // 2 - 100
+        sizes = [per_doc, per_doc, per_doc, _BATCH + 50]
+        assert sum(sizes[:2]) < _BATCH < sum(sizes[:3])
+        train = [doc(f"d{i}", " ".join(rng.choices("xyz", [6, 1, 1], k=size + 7)))
+                 for i, size in enumerate(sizes)]
+        train.append(doc("copy", train[0].text))
+        exact = build_text_index(train, freq_threshold=40)
+        hashed = build_text_index(train, freq_threshold=40, hashed=True)
+        assert hashed.table == {fnv1a64(k): c for k, c in exact.table.items()}
+        assert hashed.meaningless == {fnv1a64(k) for k in exact.meaningless}
+        assert 0 < len(exact.meaningless) < len(exact.table)
+        assert hashed.meaningless_tokens == set(map(fnv1a64, exact.meaningless_tokens))
 
 
 class TestKeyInvariant:

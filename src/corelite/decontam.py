@@ -9,8 +9,8 @@ quarter of the image overlapping.
 A table key is the n-gram's NGI1 key bytes: per text token a u32 byte length
 and its UTF-8, per image token a u32 little-endian id. Hashed indexes
 (`hashed`) key by the 64-bit FNV-1a of those bytes instead. Windows are
-slices of one encoding per document or sequence, so build, scan, save and
-load run one body for both modes.
+slices of one encoding per document or sequence, so build and scan run one
+body for both modes; only the keying helpers and the NGI1 layout differ.
 
 Hashed keys are computed about 2048 at a time by `fnv1a64_many`, one 128-bit
 lane per key in a single Python int (SWAR: each byte step is a few C-level
@@ -26,7 +26,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice, repeat, starmap
+from itertools import accumulate, chain, compress, count, islice, repeat, starmap
 from pathlib import Path
 from typing import NoReturn
 
@@ -155,6 +155,11 @@ def _hash_batch(batch):
         yield item, list(islice(hashes, len(windows)))
 
 
+def _token_keys(tokens: list[bytes], hashed: bool) -> list:
+    """The index keys of token encodings: themselves, or their FNV-1a."""
+    return fnv1a64_many(tokens) if hashed else tokens
+
+
 def _check_n(kind: int, n: int, where: str = "") -> None:
     if not 1 <= n <= _MAX_N[kind]:
         raise CoreliteError(f"{where}n must be in 1..{_MAX_N[kind]}")
@@ -219,10 +224,7 @@ class TextNGramIndex:
     A table key is the n-gram's NGI1 key bytes (per token a u32 byte length
     and its UTF-8), or in hashed mode their 64-bit FNV-1a (memory saver at
     scale; identical scan results absent collisions). `meaningless_tokens`
-    holds per-token encodings, or their FNV-1a when hashed. A hashed build
-    takes a meaningless key's tokens from the window that took its count past
-    the threshold (all copies of a training text count at once there), so a
-    colliding key misses its other windows' tokens.
+    holds the meaningless n-grams' token encodings, keyed the same way.
     """
 
     n: int
@@ -274,17 +276,13 @@ def _encoded_images(seqs: list[TokenSequence], n: int):
 
 
 def _text_index(
-    n: int, freq_threshold: int, hashed: bool, table: dict, token_hashes
+    n: int, freq_threshold: int, hashed: bool, table: dict, tokens=None
 ) -> TextNGramIndex:
-    """Derive the meaningless n-grams and their token keys from a count table.
-
-    Exact keys hold their token encodings. Hashed keys do not, so the caller
-    passes the meaningless-token hashes as `token_hashes` (empty when exact).
-    """
+    """Derive the meaningless sets; `tokens` defaults to the exact keys' own tokens."""
     meaningless = frozenset(k for k, c in table.items() if c > freq_threshold)
-    words = chain.from_iterable(map(_split_words, meaningless))  # read if exact
-    tokens = frozenset(token_hashes if hashed else words)
-    return TextNGramIndex(n, freq_threshold, hashed, table, meaningless, tokens)
+    if tokens is None:
+        tokens = chain.from_iterable(map(_split_words, meaningless))
+    return TextNGramIndex(n, freq_threshold, hashed, table, meaningless, frozenset(tokens))
 
 
 def build_text_index(
@@ -296,9 +294,11 @@ def build_text_index(
     """Count all word n-grams in the training corpus and derive the meaningless sets.
 
     Each distinct text is tokenized once, and its windows are counted as
-    often as the corpus holds it. One pass: a hashed key keeps no tokens, so
-    the window whose copies take its count past `freq_threshold` gives them
-    (the key's own, absent a 64-bit collision).
+    often as the corpus holds it. One pass: once a text is counted, its
+    windows whose keys are above `freq_threshold` give their tokens. Counts
+    only grow, so each such key ends meaningless, and each meaningless key
+    gives its tokens at least once (absent a 64-bit collision, every window
+    of a key holds the same tokens).
     """
     _check_n(_KIND_TEXT, n)
     _check_freq(freq_threshold)
@@ -308,18 +308,14 @@ def build_text_index(
     table: Counter = Counter()
     tokens = set()
     for (times, encoded), keys in _keyed(docs, hashed):
-        if not hashed:
-            for _ in range(times):
-                table.update(keys)
-            continue
-        for pos, key in enumerate(keys):
-            old = table.get(key, 0)
-            table[key] = old + times
-            if old <= freq_threshold < old + times:
-                tokens.update(encoded[pos : pos + n])
+        for _ in range(times):
+            table.update(keys)
+        over = map(freq_threshold.__lt__, map(table.__getitem__, keys))
+        for pos in compress(count(), over):
+            tokens.update(encoded[pos : pos + n])
 
-    token_hashes = fnv1a64_many(list(tokens))
-    return _text_index(n, freq_threshold, hashed, dict(table), token_hashes)
+    token_keys = _token_keys(list(tokens), hashed)
+    return _text_index(n, freq_threshold, hashed, dict(table), token_keys)
 
 
 def overlap_ratio(candidate, index: TextNGramIndex) -> float:
@@ -351,21 +347,19 @@ def scan_text(
         raise CoreliteError("ratio_threshold must not be NaN")
     if not 0 < ratio_threshold < math.inf:
         raise CoreliteError("ratio_threshold must be finite and above 0")
-    docs = _encoded_texts(((doc.id, doc.text) for doc in bench), index.n)
-    token_keys: dict[bytes, int] = {}  # hashed mode: token encoding -> FNV-1a
+    n, table, meaningless = index.n, index.table, index.meaningless
+    docs = _encoded_texts(((doc.id, doc.text) for doc in bench), n)
+    token_keys: dict = {}  # token encoding -> its key in meaningless_tokens
     per_instance: dict[str, InstanceOverlap] = {}
     hits = []
-    for (doc_id, encoded), keys in _keyed(docs, index.hashed):
-        windows = [
-            encoded[pos : pos + index.n]
-            for pos, key in enumerate(keys)
-            if key in index.table and key not in index.meaningless
-        ]
-        if index.hashed:  # only tokens of windows that hit need keys: hash each once
-            new = list({t for w in windows for t in w}.difference(token_keys))
-            token_keys.update(zip(new, fnv1a64_many(new)))
-            windows = [list(map(token_keys.__getitem__, w)) for w in windows]
-        matched = sum(1 for w in windows if overlap_ratio(w, index) < ratio_threshold)
+    for (doc_id, tokens), keys in _keyed(docs, index.hashed):
+        starts = [p for p, k in enumerate(keys) if k in table and k not in meaningless]
+        if starts:  # key each distinct token once per scan
+            new = list(set(tokens).difference(token_keys))
+            token_keys.update(zip(new, _token_keys(new, index.hashed)))
+            tokens = list(map(token_keys.__getitem__, tokens))
+        ratios = (overlap_ratio(tokens[p : p + n], index) for p in starts)
+        matched = sum(1 for ratio in ratios if ratio < ratio_threshold)
         hits.append(matched > 0)
         per_instance[doc_id] = InstanceOverlap(matched > 0, False, False, matched)
     pct = _hit_pct(hits)
@@ -445,13 +439,12 @@ def save_index(index, path) -> None:
         for record in sorted(starmap(entry.pack, index.table.items())):
             out += record
 
+    trailer = None  # exact text indexes have none: their keys hold the tokens
     if kind == _KIND_IMAGE:
         key = struct.Struct(f"<{_key_format(index.hashed, IMAGE_TOKEN_LEN)}")
         trailer = sorted(map(key.pack, index.exact_sequences))
     elif index.hashed:
         trailer = list(map(_U64.pack, sorted(index.meaningless_tokens)))
-    else:
-        trailer = None
     if trailer is not None:
         out += _U64.pack(len(trailer)) + b"".join(trailer)
 
@@ -550,16 +543,21 @@ def load_index(path):
     _check_n(kind, n, f"{path}: ")
     hashed = bool(hashed)
 
+    entries_at = r.off  # the u64 entry count
     if kind == _KIND_TEXT and not hashed:
         table = r.text_table(n)
     else:
         table = dict(r.records(f"{_key_format(hashed, n)}Q"))
+    if len(table) != _U64.unpack_from(data, entries_at)[0] or 0 in table.values():
+        raise CoreliteError(f"{path}: index keys must be distinct, counts above 0")
     if kind == _KIND_TEXT:
         _check_freq(freq, f"{path}: ")
         # The hashed-text trailer holds the u64 meaningless-token hashes.
-        tokens = chain.from_iterable(r.records("Q")) if hashed else ()
+        tokens = chain.from_iterable(r.records("Q")) if hashed else None
         index = _text_index(n, freq, hashed, table, tokens)
     else:
+        if freq:
+            raise CoreliteError(f"{path}: image index freq_threshold is {freq}, not 0")
         key = _key_format(hashed, IMAGE_TOKEN_LEN)
         exact = frozenset(chain.from_iterable(r.records(key)))
         index = ImageNGramIndex(n=n, hashed=hashed, table=table, exact_sequences=exact)

@@ -705,6 +705,27 @@ class TestErrorLines:
         )
         assert f"{idx}: freq_threshold must be in 1..4294967295" in err
 
+    def test_index_with_count_zero(self, tmp_path, capsys):
+        # A window counted 0 times would still match a verbatim copy.
+        seq = TokenSequence("a", tuple(range(32)))
+        idx = tmp_path / "idx.bin"
+        save_index(build_image_index([seq]), idx)
+        data = bytearray(idx.read_bytes())
+        data[54:62] = bytes(8)  # the first entry's u64 count, after its 8 ids
+        idx.write_bytes(data)
+        bench = write_jsonl(
+            tmp_path / "bench.jsonl", [{"id": "a", "tokens": list(seq.tokens)}]
+        )
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["scan-image", "--index", str(idx), "--bench", str(bench),
+             "--report", str(tmp_path / "r.json")],
+            ["idx.bin", "bench.jsonl"],
+        )
+        assert err == (
+            f"corelite: error: {idx}: index keys must be distinct, counts above 0\n"
+        )
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_ratio_threshold_not_above_zero(self, tmp_path, capsys, value):
         # No overlap ratio is below 0, so a verbatim copy would scan clean.

@@ -56,19 +56,20 @@ def text_key(tokens):
 
 
 def text_index_oracle(train, n, freq_threshold, hashed):
-    """Table, meaningless keys and tokens, counting one document at a time."""
-    table, hashed_tokens = Counter(), set()
+    """Table, meaningless keys and tokens, one window of one document at a time.
+
+    One rule for both modes: the meaningless tokens are the tokens of every
+    window whose key ends above the threshold, as FNV-1a when hashed.
+    """
+    key = fnv1a64 if hashed else bytes
+    windows = []
     for d in train:
         encoded = [token_key(t) for t in tokenize_text(d.text)]
-        for pos in range(len(encoded) - n + 1):
-            window = encoded[pos : pos + n]
-            key = fnv1a64(b"".join(window)) if hashed else b"".join(window)
-            table[key] += 1
-            if table[key] == freq_threshold + 1:  # the window that crosses it
-                hashed_tokens.update(map(fnv1a64, window))
+        windows += [encoded[pos : pos + n] for pos in range(len(encoded) - n + 1)]
+    table = Counter(key(b"".join(w)) for w in windows)
     meaningless = {k for k, c in table.items() if c > freq_threshold}
-    exact_tokens = {t for k in meaningless if not hashed for t in _split_words(k)}
-    return dict(table), meaningless, hashed_tokens if hashed else exact_tokens
+    tokens = {key(t) for w in windows if key(b"".join(w)) in meaningless for t in w}
+    return dict(table), meaningless, tokens
 
 
 class TestBuildTextIndex:
@@ -339,16 +340,27 @@ class TestHashMode:
     @given(st.integers(0, 2**32 - 1))
     def test_text_reports_match_exact_mode(self, bits):
         rng = random.Random(bits)
-        vocab = [f"v{i}" for i in range(40)]
+        # Accented and CJK words give tokens of multi-byte UTF-8.
+        vocab = [f"v{i}" for i in range(40)] + [
+            "café", "naïve", "zürich", "straße", "中", "文", "日本", "データ",
+        ]
         train = [
             doc(f"t{i}", " ".join(rng.choices(vocab, k=20))) for i in range(30)
         ]
+        train += [doc("copy1", train[0].text), doc("copy2", train[0].text)]
         bench = [
             doc(f"b{i}", " ".join(rng.choices(vocab, k=20))) for i in range(10)
         ]
+        # Random 8-grams almost never recur, so splice training text into the
+        # bench: windows then hit, and the meaningless tokens of the three
+        # copies of t0 push some of them past the ratio threshold.
+        for i in range(5):
+            shared = rng.choice(train[1:30]).text.split()[i : i + 10]
+            bench.append(doc(f"s{i}", " ".join(shared + rng.choices(vocab, k=6))))
         exact = scan_text(bench, build_text_index(train, freq_threshold=2))
         hashed = scan_text(bench, build_text_index(train, freq_threshold=2, hashed=True))
         assert exact == hashed
+        assert any(r.matched_windows for r in exact.per_instance.values())
 
     @pytest.mark.parametrize("text", [words(8), "zürich 中文 naïve straße a b c"])
     def test_hash_text_ngram_is_the_hashed_key(self, text):
@@ -509,6 +521,49 @@ class TestSerialization:
         with pytest.raises(CoreliteError, match="bad magic"):
             load_index(tmp_path / "x.bin")
 
+    # Bytes per entry of each index `_two_entries` saves: an exact text key
+    # holds a u32 length and 8 tokens "w0".."w8" of 4 + 2 bytes.
+    ENTRY_SIZE = {("text", False): 4 + 8 * 6 + 8, ("text", True): 16,
+                  ("image", False): 4 * 8 + 8, ("image", True): 16}
+
+    def _two_entries(self, tmp_path, kind, hashed):
+        """A saved index of two or more entries, its bytes and its entry size.
+
+        Entries start at byte 22, after the 14-byte header and the u64 count.
+        """
+        if kind == "text":
+            index = build_text_index([doc("t", words(9))], hashed=hashed)
+        else:
+            index = build_image_index([seq("s", range(32))], hashed=hashed)
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        return path, bytearray(path.read_bytes()), self.ENTRY_SIZE[kind, hashed]
+
+    @pytest.mark.parametrize("fault", ["repeated-key", "count-zero"])
+    @pytest.mark.parametrize("kind,hashed", sorted(ENTRY_SIZE))
+    def test_bad_entry_rejected(self, tmp_path, kind, hashed, fault):
+        # A dict would keep a repeated key's last count, and so hold fewer
+        # keys than the header says; no build writes a count of 0, and a scan
+        # would still find its key.
+        path, data, size = self._two_entries(tmp_path, kind, hashed)
+        if fault == "repeated-key":
+            data[22 + size : 22 + 2 * size] = data[22 : 22 + size]
+        else:
+            data[22 + size - 8 : 22 + size] = bytes(8)  # the first entry's count
+        path.write_bytes(data)
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: index keys must be distinct, counts above 0"
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
+    def test_image_freq_threshold_not_zero_rejected(self, tmp_path, hashed):
+        path, data, _ = self._two_entries(tmp_path, "image", hashed)
+        data[8:12] = struct.pack("<I", 3)  # the header's freq_threshold
+        path.write_bytes(data)
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: image index freq_threshold is 3, not 0"
+
     def test_truncated(self, tmp_path):
         index = self._text_index()
         save_index(index, tmp_path / "idx.bin")
@@ -644,8 +699,10 @@ class TestFastTextReader:
     @given(data=st.data())
     def test_matches_split_words_oracle(self, ngi_dir, data):
         n = data.draw(st.integers(1, 4), label="n")
+        # Distinct grams: a file that repeats a key is rejected after its table.
         grams = data.draw(st.lists(st.lists(_TOKENS, min_size=n, max_size=n),
-                                   min_size=1, max_size=6), label="grams")
+                                   min_size=1, max_size=6, unique_by=tuple),
+                          label="grams")
         keys = [[token_key(t) for t in gram] for gram in grams]
         counts = data.draw(st.lists(st.integers(1, 20), min_size=len(keys),
                                     max_size=len(keys)), label="counts")

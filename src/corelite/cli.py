@@ -55,9 +55,12 @@ def _sig6(value: float | None) -> float | None:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not an integer: the same message as a value below 1
     if value < 1:
-        raise argparse.ArgumentTypeError("must be ≥ 1")
+        raise argparse.ArgumentTypeError(f"must be an integer ≥ 1, not {text!r}")
     return value
 
 

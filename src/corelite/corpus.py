@@ -360,7 +360,10 @@ def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
         size, want = os.fstat(fh.fileno()).st_size - 12, 4 * n * d
         if size != want:
             raise CoreliteError(f"{data_path}: payload is {size} bytes, expected {want}")
-        ids = [line.removesuffix("\n") for line in _open_text(ids_path)]
+        # An id ends at LF, and one CR before that LF goes with it: a lone CR
+        # stays in its id, for `EmbeddingMatrix` to reject.
+        ids = [line.removesuffix("\r\n").removesuffix("\n")
+               for line in _open_text(ids_path, newline="\n")]
 
         X = np.empty((n, d))
         buf = np.empty((min(_NORM_ROWS, n), d), "<f4")

@@ -1,10 +1,10 @@
 """8-gram overlap indexes over training corpora and benchmark contamination scans.
 
 Text indexes track "meaningless" n-grams (those appearing more than
-`freq_threshold` times in training data) so boilerplate matches can be
-suppressed. Image indexes work over fixed-length 32-token sequences with
-25 stride-1 windows each; an 8-token window hit corresponds to roughly a
-quarter of the image overlapping.
+`freq_threshold` times in training data) and their tokens, flagged once per
+scanned document, to drop windows of boilerplate. Image indexes work over
+fixed-length 32-token sequences with 25 stride-1 windows each; an 8-token
+window hit corresponds to roughly a quarter of the image overlapping.
 
 A table key is the n-gram's NGI1 key bytes: per text token a u32 byte length
 and its UTF-8, per image token a u32 little-endian id. Hashed indexes
@@ -318,20 +318,6 @@ def build_text_index(
     return _text_index(n, freq_threshold, hashed, dict(table), token_keys)
 
 
-def overlap_ratio(candidate, index: TextNGramIndex) -> float:
-    """Fraction of a candidate n-gram's token positions found in meaningless n-grams.
-
-    `candidate` holds index.n per-token keys: NGI1 token encodings (a u32
-    byte length and the UTF-8), or their FNV-1a in hashed mode.
-    """
-    if len(candidate) != index.n:
-        raise CoreliteError(
-            f"candidate has {len(candidate)} tokens, index n is {index.n}"
-        )
-    hits = sum(1 for t in candidate if t in index.meaningless_tokens)
-    return hits / index.n
-
-
 def scan_text(
     bench: list[TextDocument],
     index: TextNGramIndex,
@@ -340,8 +326,10 @@ def scan_text(
     """Flag benchmark documents sharing a qualifying n-gram with training data.
 
     A window qualifies when it is present in the training table, is not
-    itself meaningless, and has overlap ratio below `ratio_threshold`, a
-    finite value above 0 (no ratio is below 0); above 1 turns the filter off.
+    itself meaningless, and its overlap ratio, the share of its n tokens
+    flagged as meaningless tokens (once per document), is below
+    `ratio_threshold`: a finite value above 0 (no ratio is below 0); above 1
+    turns the filter off.
     """
     if math.isnan(ratio_threshold):
         raise CoreliteError("ratio_threshold must not be NaN")
@@ -349,17 +337,14 @@ def scan_text(
         raise CoreliteError("ratio_threshold must be finite and above 0")
     n, table, meaningless = index.n, index.table, index.meaningless
     docs = _encoded_texts(((doc.id, doc.text) for doc in bench), n)
-    token_keys: dict = {}  # token encoding -> its key in meaningless_tokens
     per_instance: dict[str, InstanceOverlap] = {}
     hits = []
     for (doc_id, tokens), keys in _keyed(docs, index.hashed):
         starts = [p for p, k in enumerate(keys) if k in table and k not in meaningless]
-        if starts:  # key each distinct token once per scan
-            new = list(set(tokens).difference(token_keys))
-            token_keys.update(zip(new, _token_keys(new, index.hashed)))
-            tokens = list(map(token_keys.__getitem__, tokens))
-        ratios = (overlap_ratio(tokens[p : p + n], index) for p in starts)
-        matched = sum(1 for ratio in ratios if ratio < ratio_threshold)
+        if starts:
+            token_keys = _token_keys(tokens, index.hashed)
+            flags = list(map(index.meaningless_tokens.__contains__, token_keys))
+        matched = sum(1 for p in starts if sum(flags[p : p + n]) / n < ratio_threshold)
         hits.append(matched > 0)
         per_instance[doc_id] = InstanceOverlap(matched > 0, False, False, matched)
     pct = _hit_pct(hits)

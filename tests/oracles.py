@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the library against.
 
 Exact k-center solvers for the greedy, the earlier numpy subset gap for its
-plain-Python means, a tokenizer that reads one code point at a time, and the
-byte-at-a-time FNV-1a that the hashed n-gram keys are checked against.
+plain-Python means, a tokenizer that reads one code point at a time, the
+byte-at-a-time FNV-1a that the hashed n-gram keys are checked against, and
+the overlap ratio of one window, that the text scan is checked against.
 """
 
 import itertools
@@ -126,3 +127,14 @@ def fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+def overlap_ratio(candidate, index) -> float:
+    """Fraction of a candidate n-gram's token keys in `index.meaningless_tokens`.
+
+    `candidate` holds index.n per-token keys: NGI1 token encodings (a u32
+    byte length and the UTF-8), or their FNV-1a in hashed mode.
+    """
+    assert len(candidate) == index.n
+    hits = sum(1 for t in candidate if t in index.meaningless_tokens)
+    return hits / index.n

@@ -66,7 +66,35 @@ class TestSelect:
                 "--k", "0", "--out", str(tmp_path / "x.json"),
             ])
         assert exc.value.code == 2
-        assert "must be ≥ 1" in capsys.readouterr().err
+        assert "argument --k: must be an integer ≥ 1, not '0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("select", "--k"), ("index-text", "--n"), ("index-text", "--freq-threshold"),
+    ])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-2"])
+    def test_positive_int_usage_error(self, tmp_path, emb_files, capsys, command, flag, value):
+        # One message for a value that is not an integer and one below 1,
+        # and no name from inside the program.
+        inputs = {"select": ["--embeddings", str(emb_files[0]), "--ids", str(emb_files[1])],
+                  "index-text": ["--train", str(tmp_path / "train.jsonl")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, f"{flag}={value}", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer ≥ 1, not {value!r}\n" in err
+        assert "_positive_int" not in err
+
+    def test_crlf_ids_select_as_lf(self, tmp_path, emb_files):
+        data_path, ids_path = emb_files
+        crlf_ids = tmp_path / "crlf.ids"
+        crlf_ids.write_bytes(ids_path.read_bytes().replace(b"\n", b"\r\n"))
+        outs = []
+        for ids in (ids_path, crlf_ids):
+            out = tmp_path / f"{ids.stem}.json"
+            assert main(["select", "--embeddings", str(data_path), "--ids", str(ids),
+                         "--k", "4", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_k_above_n_data_error(self, tmp_path, emb_files, capsys):
         data_path, ids_path = emb_files
@@ -812,10 +840,15 @@ class TestErrorLines:
             (INF_ROW, b"a\nb\n", K1, "{data}, {ids}: row 1: non-finite value"),
             (INF_ROW, b"a\nb\n", [*K1, "--no-normalize"],
              "{data}, {ids}: row 1: non-finite value"),
+            # Ids end at LF only: a lone CR stays in its id.
+            (None, b"a\rb\nc\n", K1, "{data}, {ids}: row 0: embedding id holds CR or LF"),
+            (b"EMB1" + bytes([3, 0, 0, 0, 1, 0, 0, 0]) + bytes(12), b"a\rb\nc\n", K1,
+             "{data}, {ids}: 2 ids for 3 rows"),
+            (None, b"a\r\r\nb\r\n", K1, "{data}, {ids}: row 0: embedding id holds CR or LF"),
         ],
         ids=["short-header", "d-0", "repeated-ids", "empty-id", "id-count", "nan",
              "utf8-ids", "bom-ids", "unknown-dataset", "huge-header", "inf",
-             "inf-no-normalize"],
+             "inf-no-normalize", "lone-cr-ids", "lone-cr-id-count", "cr-before-crlf"],
     )
     def test_bad_embeddings(self, tmp_path, capsys, data, ids, size, message):
         data_path, ids_path = tmp_path / "e.bin", tmp_path / "e.ids"

@@ -3,6 +3,7 @@ import json
 import random
 import struct
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -24,12 +25,11 @@ from corelite.decontam import (
     fnv1a64_many,
     hash_text_ngram,
     load_index,
-    overlap_ratio,
     save_index,
     scan_image,
     scan_text,
 )
-from oracles import fnv1a64
+from oracles import fnv1a64, overlap_ratio
 
 
 def doc(doc_id, text):
@@ -55,21 +55,41 @@ def text_key(tokens):
     return b"".join(map(token_key, tokens))
 
 
+def oracle_windows(text, n, hashed):
+    """(key, token keys) per n-gram window of `text`, as FNV-1a when hashed."""
+    key = fnv1a64 if hashed else bytes
+    encoded = [token_key(t) for t in tokenize_text(text)]
+    windows = [encoded[pos : pos + n] for pos in range(len(encoded) - n + 1)]
+    return [(key(b"".join(w)), [key(t) for t in w]) for w in windows]
+
+
 def text_index_oracle(train, n, freq_threshold, hashed):
     """Table, meaningless keys and tokens, one window of one document at a time.
 
     One rule for both modes: the meaningless tokens are the tokens of every
     window whose key ends above the threshold, as FNV-1a when hashed.
     """
-    key = fnv1a64 if hashed else bytes
-    windows = []
-    for d in train:
-        encoded = [token_key(t) for t in tokenize_text(d.text)]
-        windows += [encoded[pos : pos + n] for pos in range(len(encoded) - n + 1)]
-    table = Counter(key(b"".join(w)) for w in windows)
+    windows = [w for d in train for w in oracle_windows(d.text, n, hashed)]
+    table = Counter(k for k, _ in windows)
     meaningless = {k for k, c in table.items() if c > freq_threshold}
-    tokens = {key(t) for w in windows if key(b"".join(w)) in meaningless for t in w}
+    tokens = {t for k, w in windows if k in meaningless for t in w}
     return dict(table), meaningless, tokens
+
+
+def text_scan_oracle(train, bench, n, freq_threshold, hashed, ratio_threshold):
+    """(text_hit, matched_windows) per id: `overlap_ratio` one window at a time."""
+    table, meaningless, tokens = text_index_oracle(train, n, freq_threshold, hashed)
+    index = SimpleNamespace(n=n, meaningless_tokens=tokens)
+    found = {}
+    for d in bench:
+        matched = sum(
+            1
+            for k, w in oracle_windows(d.text, n, hashed)
+            if k in table and k not in meaningless
+            and overlap_ratio(w, index) < ratio_threshold
+        )
+        found[d.id] = (matched > 0, matched)
+    return found
 
 
 class TestBuildTextIndex:
@@ -165,13 +185,40 @@ class TestOverlapRatio:
         index = build_text_index(train)
         assert overlap_ratio(list(map(token_key, "abcdefqr")), index) == 0.75
 
-    def test_wrong_length_rejected(self):
-        index = build_text_index([])
-        with pytest.raises(CoreliteError, match="tokens"):
-            overlap_ratio(("a",), index)
+
+# Accented words, and CJK text whose every ideograph or kana letter is a token.
+SCAN_WORDS = ["a", "b", "c", "é", "naïve", "日本", "語", "かな"]
 
 
 class TestScanText:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from(SCAN_WORDS), max_size=8).map(" ".join),
+                       min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), max_size=12),
+        bench=st.lists(st.lists(st.sampled_from(SCAN_WORDS), max_size=10).map(" ".join),
+                       max_size=4),
+        n=st.integers(1, 3),
+        freq_threshold=st.integers(1, 3),
+        ratio_threshold=st.one_of(
+            st.sampled_from([1 / 3, 0.5, 2 / 3, 1.0]),
+            st.floats(0, 1.01, exclude_min=True),
+        ),
+        hashed=st.booleans(),
+    )
+    def test_matches_one_window_at_a_time(
+        self, texts, picks, bench, n, freq_threshold, ratio_threshold, hashed
+    ):
+        # Repeated training texts make meaningless keys and tokens; the bench
+        # holds the training texts themselves beside drawn ones.
+        train = [doc(f"t{i}", texts[p % len(texts)]) for i, p in enumerate(picks)]
+        bench = [doc(f"b{i}", text) for i, text in enumerate(texts + bench)]
+        index = build_text_index(train, n=n, freq_threshold=freq_threshold, hashed=hashed)
+        report = scan_text(bench, index, ratio_threshold=ratio_threshold)
+        got = {k: (v.text_hit, v.matched_windows) for k, v in report.per_instance.items()}
+        assert got == text_scan_oracle(train, bench, n, freq_threshold, hashed,
+                                       ratio_threshold)
+
     def test_verbatim_copy_flagged(self):
         body = "alpha beta gamma delta epsilon zeta eta theta iota"
         index = build_text_index([doc("t", body)])

@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# Benchmark smoke check: runs each perfbench workload once, for one second,
+# and fails unless its outputs are correct, no operation failed and its peak
+# RSS is under the workload's bound. run.py exits 0 even when an output check
+# fails, so its last line, the result JSON, is checked here.
+#
+# The bounds: select holds one float64 n x d matrix, so on select-large
+# (100k x 512, 390 MiB) its peak RSS stays under 500 MiB, and a second copy
+# of the payload beside it would not. The n-gram commands start without
+# numpy, and the hashed ones hash windows a batch at a time: audit-exact stays
+# under 55 MiB and audit-hashed under 40 MiB, and numpy's import (+13.6 MiB)
+# or a whole corpus's window list would not.
+#
+# Usage: scripts/bench_smoke.sh   (from anywhere in a checkout)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+for w in select-large lite-suite audit-exact audit-hashed; do
+  last=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  python3 - "$w" "$last" <<'PY'
+import json, sys
+
+workload, last = sys.argv[1:]
+r = json.loads(last)
+rss = r["metrics"]["peak_rss_mib"]["value"]
+bound = {"select-large": 500, "audit-exact": 55, "audit-hashed": 40}.get(workload, float("inf"))
+print(f"{workload}: correct={r['correct']} failed={r['failed']} peak_rss_mib={rss} (bound {bound})")
+if not (r["correct"] is True and r["failed"] == 0 and rss < bound):
+    sys.exit(f"{workload}: {last}")
+PY
+done

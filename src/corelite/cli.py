@@ -47,7 +47,7 @@ def _write_json(path, obj) -> None:
         )
     except ValueError as exc:  # NaN or ±inf, which JSON cannot hold
         raise CoreliteError(f"{path}: {exc}") from None
-    write_atomic(path, (text + "\n").encode("utf-8"))
+    write_atomic(path, [(text + "\n").encode("utf-8")])
 
 
 def _sig6(value: float | None) -> float | None:

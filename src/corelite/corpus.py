@@ -249,22 +249,28 @@ class ScaleSpec:
         object.__setattr__(self, "scales", scales)
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to `path` whole or not at all: a temp file, then os.replace.
+def write_atomic(path, chunks) -> None:
+    """Write the bytes-like `chunks` to `path` in order, whole or not at all.
 
-    The temp file sits next to `path` and is opened like any new file, so the
-    result's mode follows the umask. On failure it is removed, and any file
-    already at `path` is left as it was.
+    They go to a temp file next to `path`, opened like any new file so the
+    result's mode follows the umask, then os.replace. On failure it is removed,
+    a file already at `path` stays as it was, and the error names `path`.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp or isinstance(exc, FileExistsError):  # a stray file
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def _open_text(path, newline=None) -> io.StringIO:
@@ -388,10 +394,9 @@ def save_embeddings(matrix: EmbeddingMatrix, data_path, ids_path) -> None:
     """Write the EMB1 matrix as float32 (exact for a loaded one) and one id per LF line."""
     import numpy as np
 
-    out = bytearray(EMB_MAGIC + struct.pack("<II", matrix.n, matrix.d))
-    out += memoryview(np.ascontiguousarray(matrix.data, dtype="<f4"))
-    write_atomic(data_path, out)
-    write_atomic(ids_path, "".join(f"{i}\n" for i in matrix.ids).encode("utf-8"))
+    header = EMB_MAGIC + struct.pack("<II", matrix.n, matrix.d)
+    write_atomic(data_path, [header, np.ascontiguousarray(matrix.data, dtype="<f4")])
+    write_atomic(ids_path, ["".join(f"{i}\n" for i in matrix.ids).encode("utf-8")])
 
 
 def _csv_rows(path):

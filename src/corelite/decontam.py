@@ -404,7 +404,7 @@ def _key_format(hashed: bool, tokens: int) -> str:
 
 
 def save_index(index, path) -> None:
-    """Write a text or image n-gram index in the NGI1 binary format."""
+    """Stream a text or image n-gram index to `path` in the NGI1 binary format."""
     if isinstance(index, TextNGramIndex):
         kind, freq = _KIND_TEXT, index.freq_threshold
     elif isinstance(index, ImageNGramIndex):
@@ -412,17 +412,18 @@ def save_index(index, path) -> None:
     else:
         raise CoreliteError(f"cannot serialize {type(index).__name__}")
 
-    out = bytearray(NGI_MAGIC)
-    out += struct.pack("<HHIBB", NGI_VERSION, index.n, freq, kind, int(index.hashed))
-    out += _U64.pack(len(index.table))
+    table = index.table
+    header = NGI_MAGIC + struct.pack(
+        "<HHIBBQ", NGI_VERSION, index.n, freq, kind, int(index.hashed), len(table)
+    )
     if kind == _KIND_TEXT and not index.hashed:
-        for key, count in sorted(index.table.items()):
-            out += _U32.pack(len(key)) + key + _U64.pack(count)
+        entries = (_U32.pack(len(k)) + k + _U64.pack(table[k]) for k in sorted(table))
     else:
-        # Fixed-width keys are unique, so whole records sort by key bytes.
+        # Fixed-width keys are unique, so whole records sort by key bytes. They
+        # are joined 1024 at a time: `bytes.join` holds a buffer view per item.
         entry = struct.Struct(f"<{_key_format(index.hashed, index.n)}Q")
-        for record in sorted(starmap(entry.pack, index.table.items())):
-            out += record
+        records = sorted(starmap(entry.pack, table.items()))
+        entries = (b"".join(records[i : i + 1024]) for i in range(0, len(records), 1024))
 
     trailer = None  # exact text indexes have none: their keys hold the tokens
     if kind == _KIND_IMAGE:
@@ -430,10 +431,8 @@ def save_index(index, path) -> None:
         trailer = sorted(map(key.pack, index.exact_sequences))
     elif index.hashed:
         trailer = list(map(_U64.pack, sorted(index.meaningless_tokens)))
-    if trailer is not None:
-        out += _U64.pack(len(trailer)) + b"".join(trailer)
-
-    write_atomic(path, out)
+    tail = [] if trailer is None else [_U64.pack(len(trailer)), b"".join(trailer)]
+    write_atomic(path, chain([header], entries, tail))
 
 
 class _Reader:

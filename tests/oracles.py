@@ -2,11 +2,14 @@
 
 Exact k-center solvers for the greedy, the earlier numpy subset gap for its
 plain-Python means, a tokenizer that reads one code point at a time, the
-byte-at-a-time FNV-1a that the hashed n-gram keys are checked against, and
-the overlap ratio of one window, that the text scan is checked against.
+byte-at-a-time FNV-1a that the hashed n-gram keys are checked against, the
+overlap ratio of one window, that the text scan is checked against, and an
+NGI1 writer that builds the whole file in memory, that the streamed
+`save_index` is checked against.
 """
 
 import itertools
+import struct
 import unicodedata
 
 import numpy as np
@@ -14,6 +17,7 @@ import numpy as np
 from corelite import CoreliteError
 from corelite.coreset import CoresetSelection, SubsetGap, _check_k
 from corelite.corpus import EmbeddingMatrix
+from corelite.decontam import TextNGramIndex
 
 
 def coverage_radius(emb: EmbeddingMatrix, centers) -> float:
@@ -138,3 +142,38 @@ def overlap_ratio(candidate, index) -> float:
     assert len(candidate) == index.n
     hits = sum(1 for t in candidate if t in index.meaningless_tokens)
     return hits / index.n
+
+
+def ngi1_bytes(index) -> bytes:
+    """An n-gram index's NGI1 file, built whole in a `bytearray`.
+
+    Exact text entries sort as (key, count) pairs, fixed-width entries as
+    packed records, image sequences by key bytes and meaningless-token hashes
+    by value.
+    """
+    text = isinstance(index, TextNGramIndex)
+    kind, freq = (0, index.freq_threshold) if text else (1, 0)
+
+    def key_format(tokens):
+        return "Q" if index.hashed else f"{4 * tokens}s"
+
+    out = bytearray(b"NGI1")
+    out += struct.pack("<HHIBB", 1, index.n, freq, kind, int(index.hashed))
+    out += struct.pack("<Q", len(index.table))
+    if text and not index.hashed:
+        for key, count in sorted(index.table.items()):
+            out += struct.pack("<I", len(key)) + key + struct.pack("<Q", count)
+    else:
+        entry = struct.Struct(f"<{key_format(index.n)}Q")
+        for record in sorted(itertools.starmap(entry.pack, index.table.items())):
+            out += record
+
+    trailer = None  # exact text indexes have none: their keys hold the tokens
+    if not text:
+        key = struct.Struct(f"<{key_format(32)}")
+        trailer = sorted(map(key.pack, index.exact_sequences))
+    elif index.hashed:
+        trailer = [struct.pack("<Q", t) for t in sorted(index.meaningless_tokens)]
+    if trailer is not None:
+        out += struct.pack("<Q", len(trailer)) + b"".join(trailer)
+    return bytes(out)

@@ -487,6 +487,31 @@ class TestErrorLines:
             f"corelite: error: {bench}: line 1: {what} id holds a lone surrogate\n")
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["index-text", "scan-text"])
+    def test_unwritable_output_is_named(self, tmp_path, command):
+        # index-text writes into a missing directory, scan-text onto a
+        # directory. Each run is its own process, with its own temp file name.
+        train = write_jsonl(tmp_path / "train.jsonl", [{"id": "t", "text": "w " * 9}])
+        argv, out = ["index-text", "--train", str(train), "--out"], "nodir/x.ngi"
+        if command == "scan-text":
+            assert main(["index-text", "--train", str(train),
+                         "--out", str(tmp_path / "x.ngi")]) == 0
+            argv = ["scan-text", "--index", "x.ngi", "--bench", str(train), "--report"]
+            out = "report"
+            (tmp_path / out).mkdir()
+        errs = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "corelite.cli", *argv, out], cwd=tmp_path,
+                env=_src_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 1
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("corelite: error: ") and errs[0].count("\n") == 1
+        assert repr(out) in errs[0] and ".tmp" not in errs[0]
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_scales_json_list(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("model,dataset,score\nm1,a,40.0\n")

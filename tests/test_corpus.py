@@ -30,6 +30,7 @@ from corelite.corpus import (
     save_embeddings,
     write_atomic,
 )
+from corelite.decontam import build_image_index, build_text_index, save_index
 from oracles import unicode_tokenize_text
 
 
@@ -448,42 +449,69 @@ class TestScores:
             ScoreTable(entries, counts)
 
 
+class DiskFull:
+    """A file that takes `room` chunks, then half of the next, then runs out of space."""
+
+    def __init__(self, fh, room=0):
+        self.fh, self.room = fh, room
+
+    def write(self, data):
+        if self.room:
+            self.room -= 1
+            return self.fh.write(data)
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
 class TestWriteAtomic:
     def test_writes_bytes_and_bytearray(self, tmp_path):
-        write_atomic(tmp_path / "a", b"abc")
-        write_atomic(tmp_path / "b", bytearray(b"xyz"))
+        write_atomic(tmp_path / "a", [b"ab", b"", b"c"])
+        write_atomic(tmp_path / "b", iter([bytearray(b"xy"), memoryview(b"z")]))
+        write_atomic(tmp_path / "c", [])
         assert (tmp_path / "a").read_bytes() == b"abc"
         assert (tmp_path / "b").read_bytes() == b"xyz"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+        assert (tmp_path / "c").read_bytes() == b""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c"]
 
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         target = tmp_path / "out.json"
         target.write_bytes(b"old contents")
-
-        class DiskFull:
-            """A file that takes half of what it is given, then runs out of space."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def write(self, data):
-                self.fh.write(data[: len(data) // 2])
-                self.fh.flush()
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
         monkeypatch.setattr(
             "corelite.corpus.open", lambda *a: DiskFull(open(*a)), raising=False
         )
         with pytest.raises(OSError, match="No space left"):
-            write_atomic(target, b"new contents, longer than the old ones")
+            write_atomic(target, [b"new contents, longer than the old ones"])
         assert target.read_bytes() == b"old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("what", ["text-index", "image-index", "embeddings"])
+    def test_save_failing_after_its_first_chunk(self, tmp_path, monkeypatch, what):
+        target, ids = tmp_path / "out.bin", tmp_path / "out.ids"
+        target.write_bytes(b"old contents")
+        ids.write_bytes(b"old ids\n")
+        monkeypatch.setattr(
+            "corelite.corpus.open", lambda *a: DiskFull(open(*a), room=1), raising=False
+        )
+        with pytest.raises(OSError, match="No space left"):
+            if what == "text-index":
+                docs = [TextDocument(f"d{i}", f"w{i} " * 12) for i in range(50)]
+                save_index(build_text_index(docs, n=2), target)
+            elif what == "image-index":
+                seqs = [TokenSequence(f"s{i}", tuple(range(i, i + 32))) for i in range(9)]
+                save_index(build_image_index(seqs), target)
+            else:
+                matrix = EmbeddingMatrix(("a", "b"), np.ones((2, 3)))
+                save_embeddings(matrix, target, ids)
+        assert target.read_bytes() == b"old contents"
+        assert ids.read_bytes() == b"old ids\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.ids"]
 
     def test_failed_rename_leaves_no_temp(self, tmp_path, monkeypatch):
         def fail(src, dst):
@@ -491,8 +519,21 @@ class TestWriteAtomic:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="rename failed"):
-            write_atomic(tmp_path / "out", b"data")
+            write_atomic(tmp_path / "out", [b"data"])
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_error_names_the_path_not_the_temp_file(self, tmp_path, where):
+        target = tmp_path / "nodir" / "out"
+        if where == "directory":
+            target = tmp_path / "out"
+            target.mkdir()
+        error = FileNotFoundError if where == "missing-dir" else IsADirectoryError
+        with pytest.raises(error) as info:
+            write_atomic(target, [b"data"])
+        assert info.value.filename == str(target) and info.value.filename2 is None
+        assert ".tmp" not in str(info.value)
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_mode_follows_umask(self, tmp_path):
         old = os.umask(0o027)
@@ -501,7 +542,7 @@ class TestWriteAtomic:
                 pass
             (tmp_path / "atomic").write_bytes(b"x")
             os.chmod(tmp_path / "atomic", 0o600)  # replaced, not rewritten in place
-            write_atomic(tmp_path / "atomic", b"y")
+            write_atomic(tmp_path / "atomic", [b"y"])
         finally:
             os.umask(old)
         plain = (tmp_path / "plain").stat().st_mode
@@ -513,7 +554,7 @@ class TestWriteAtomic:
         stray = tmp_path / f"out.{os.getpid()}.tmp"
         stray.write_bytes(b"someone else's")
         with pytest.raises(FileExistsError):
-            write_atomic(target, b"data")
+            write_atomic(target, [b"data"])
         assert stray.read_bytes() == b"someone else's"
         assert not target.exists()
 

@@ -29,7 +29,7 @@ from corelite.decontam import (
     scan_image,
     scan_text,
 )
-from oracles import fnv1a64, overlap_ratio
+from oracles import fnv1a64, ngi1_bytes, overlap_ratio
 
 
 def doc(doc_id, text):
@@ -816,6 +816,61 @@ GOLDEN_IMAGES = [
     seq(f"i{i}", [(i * 37 + j * 1013) % 70000 for j in range(32)]) for i in range(6)
 ]
 GOLDEN_IMAGES.append(seq("dup", GOLDEN_IMAGES[0].tokens))
+
+
+class TestStreamedSave:
+    """`save_index` writes, chunk by chunk, the bytes of the whole-file oracle."""
+
+    WORDS = ["a", "b", "ab", "ç", "dé", "naïve", "x1", "中", "文", "日本", "データ"]
+
+    def _check(self, index, tmp_path_factory):
+        path = tmp_path_factory.mktemp("save") / "idx.bin"
+        save_index(index, path)
+        assert path.read_bytes() == ngi1_bytes(index)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from(WORDS), max_size=14), max_size=8),
+        copies=st.integers(1, 3),
+        n=st.integers(1, 9),
+        freq_threshold=st.integers(1, 4),
+        hashed=st.booleans(),
+    )
+    @example(corpus=[], copies=1, n=8, freq_threshold=1, hashed=False)
+    @example(corpus=[], copies=1, n=8, freq_threshold=1, hashed=True)
+    @example(corpus=[["ab", "a", "b"] * 4], copies=3, n=2, freq_threshold=1, hashed=False)
+    @example(corpus=[["中", "データ", "a"] * 4], copies=3, n=3, freq_threshold=2, hashed=True)
+    def test_text(self, tmp_path_factory, corpus, copies, n, freq_threshold, hashed):
+        # Copies push keys above the threshold, so trailers hold tokens.
+        train = [doc(f"t{i}", " ".join(ws)) for i, ws in enumerate(corpus * copies)]
+        index = build_text_index(train, n=n, freq_threshold=freq_threshold, hashed=hashed)
+        self._check(index, tmp_path_factory)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        corpus=st.lists(
+            st.lists(st.sampled_from([0, 1, 2**16, 2**32 - 1]), min_size=32, max_size=32),
+            max_size=6,
+        ),
+        n=st.integers(1, 32),
+        hashed=st.booleans(),
+    )
+    @example(corpus=[], n=8, hashed=False)
+    @example(corpus=[], n=8, hashed=True)
+    def test_image(self, tmp_path_factory, corpus, n, hashed):
+        train = [seq(f"i{i}", tokens) for i, tokens in enumerate(corpus)]
+        self._check(build_image_index(train, n=n, hashed=hashed), tmp_path_factory)
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_fixed_width_records_span_several_chunks(self, tmp_path_factory, hashed):
+        rng = random.Random(5)
+        images = [seq(f"i{i}", [rng.randrange(2**32) for _ in range(32)]) for i in range(90)]
+        index = build_image_index(images, hashed=hashed)
+        assert len(index.table) == 90 * 25  # more than two chunks of 1024 records
+        self._check(index, tmp_path_factory)
+        if hashed:
+            texts = [doc(f"t{i}", words(40, f"g{i}")) for i in range(80)]
+            self._check(build_text_index(texts, hashed=True), tmp_path_factory)
 
 
 class TestGoldenNGI1:

@@ -7,9 +7,12 @@
 # The bounds: select holds one float64 n x d matrix, so on select-large
 # (100k x 512, 390 MiB) its peak RSS stays under 500 MiB, and a second copy
 # of the payload beside it would not. The n-gram commands start without
-# numpy, and the hashed ones hash windows a batch at a time: audit-exact stays
-# under 55 MiB and audit-hashed under 40 MiB, and numpy's import (+13.6 MiB)
-# or a whole corpus's window list would not.
+# numpy, and the hashed ones hash windows a batch at a time: audit-hashed
+# stays under 40 MiB, and numpy's import (+13.6 MiB) or a whole corpus's
+# window list would not. audit-exact stays under 45 MiB: each n-gram
+# command holds its table once, at 35 MiB on Python 3.11, against 40.8 MiB
+# when load_index held the whole file, save_index a list of packed records
+# and each build a copy of its table. A numpy import would break the bound.
 #
 # Usage: scripts/bench_smoke.sh   (from anywhere in a checkout)
 set -euo pipefail
@@ -23,7 +26,7 @@ import json, sys
 workload, last = sys.argv[1:]
 r = json.loads(last)
 rss = r["metrics"]["peak_rss_mib"]["value"]
-bound = {"select-large": 500, "audit-exact": 55, "audit-hashed": 40}.get(workload, float("inf"))
+bound = {"select-large": 500, "audit-exact": 45, "audit-hashed": 40}.get(workload, float("inf"))
 print(f"{workload}: correct={r['correct']} failed={r['failed']} peak_rss_mib={rss} (bound {bound})")
 if not (r["correct"] is True and r["failed"] == 0 and rss < bound):
     sys.exit(f"{workload}: {last}")

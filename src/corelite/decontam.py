@@ -22,12 +22,13 @@ more than the hashing it would save on a typical audit.
 from __future__ import annotations
 
 import enum
+import io
 import math
+import os
 import struct
-from collections import Counter
+from collections import Counter, _count_elements  # Counter.update's C loop
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, islice, repeat, starmap
-from pathlib import Path
+from itertools import accumulate, chain, compress, count, islice, repeat
 from typing import NoReturn
 
 from . import CoreliteError
@@ -53,6 +54,7 @@ _BATCH = 2048  # keys hashed together: 32 KiB ints, 2% per-step interpreter over
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _IMAGE_IDS = struct.Struct(f"<{IMAGE_TOKEN_LEN}I")
+_READ_SIZE = 1 << 20  # bytes load_index reads at a time
 
 
 def fnv1a64_many(keys: list[bytes]) -> list[int]:
@@ -294,28 +296,32 @@ def build_text_index(
     """Count all word n-grams in the training corpus and derive the meaningless sets.
 
     Each distinct text is tokenized once, and its windows are counted as
-    often as the corpus holds it. One pass: once a text is counted, its
-    windows whose keys are above `freq_threshold` give their tokens. Counts
-    only grow, so each such key ends meaningless, and each meaningless key
-    gives its tokens at least once (absent a 64-bit collision, every window
-    of a key holds the same tokens).
+    often as the corpus holds it. One pass: once a text is counted, each of
+    its windows whose key is above `freq_threshold` gives its tokens, unless
+    that key already has. Counts only grow, so each such key ends
+    meaningless, and each meaningless key gives its tokens once (absent a
+    64-bit collision, every window of a key holds the same tokens). The
+    table counted into is the one returned.
     """
     _check_n(_KIND_TEXT, n)
     _check_freq(freq_threshold)
     texts = Counter(doc.text for doc in train).items()
     docs = _encoded_texts(((times, text) for text, times in texts), n)
 
-    table: Counter = Counter()
+    table: dict = {}
+    given = set()  # keys above the threshold whose tokens are in `tokens`
     tokens = set()
     for (times, encoded), keys in _keyed(docs, hashed):
         for _ in range(times):
-            table.update(keys)
+            _count_elements(table, keys)
         over = map(freq_threshold.__lt__, map(table.__getitem__, keys))
         for pos in compress(count(), over):
-            tokens.update(encoded[pos : pos + n])
+            if keys[pos] not in given:
+                given.add(keys[pos])
+                tokens.update(encoded[pos : pos + n])
 
     token_keys = _token_keys(list(tokens), hashed)
-    return _text_index(n, freq_threshold, hashed, dict(table), token_keys)
+    return _text_index(n, freq_threshold, hashed, table, token_keys)
 
 
 def scan_text(
@@ -354,14 +360,17 @@ def scan_text(
 def build_image_index(
     train: list[TokenSequence], n: int = 8, hashed: bool = False
 ) -> ImageNGramIndex:
-    """Index all stride-1 windows of the 32-token training sequences."""
+    """Index all stride-1 windows of the 32-token training sequences.
+
+    The table counted into is the one returned.
+    """
     _check_n(_KIND_IMAGE, n)
-    table: Counter = Counter()
+    table: dict = {}
     exact = set()
     for _, keys in _keyed(_encoded_images(train, n), hashed):
         exact.add(keys.pop())  # the whole sequence; the windows stay
-        table.update(keys)
-    return ImageNGramIndex(n, hashed, dict(table), frozenset(exact))
+        _count_elements(table, keys)
+    return ImageNGramIndex(n, hashed, table, frozenset(exact))
 
 
 def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapReport:
@@ -403,8 +412,27 @@ def _key_format(hashed: bool, tokens: int) -> str:
     return "Q" if hashed else f"{4 * tokens}s"
 
 
+def _joined(records):
+    """The byte strings of `records`, joined 1024 at a time.
+
+    `bytes.join` holds a buffer view per item, so joining a whole table's
+    records at once would cost more memory than the records themselves.
+    """
+    while chunk := b"".join(islice(records, 1024)):
+        yield chunk
+
+
 def save_index(index, path) -> None:
-    """Stream a text or image n-gram index to `path` in the NGI1 binary format."""
+    """Stream a text or image n-gram index to `path` in the NGI1 binary format.
+
+    Exact keys are sorted alone, and each record is packed with its count
+    as it is written: the save holds the sorted keys and one chunk of
+    records beside the index. An exact image key is its record's prefix, so
+    the keys sort as the records do. A hash sorts by its little-endian
+    bytes, so the sort needs a new object per hash: the big-endian int of
+    its record sorts the same, carries the count (no lookup per record) and
+    takes less memory than the record's bytes.
+    """
     if isinstance(index, TextNGramIndex):
         kind, freq = _KIND_TEXT, index.freq_threshold
     elif isinstance(index, ImageNGramIndex):
@@ -412,41 +440,76 @@ def save_index(index, path) -> None:
     else:
         raise CoreliteError(f"cannot serialize {type(index).__name__}")
 
-    table = index.table
+    table, hashed = index.table, index.hashed
     header = NGI_MAGIC + struct.pack(
-        "<HHIBBQ", NGI_VERSION, index.n, freq, kind, int(index.hashed), len(table)
+        "<HHIBBQ", NGI_VERSION, index.n, freq, kind, int(hashed), len(table)
     )
-    if kind == _KIND_TEXT and not index.hashed:
+    if kind == _KIND_TEXT and not hashed:
         entries = (_U32.pack(len(k)) + k + _U64.pack(table[k]) for k in sorted(table))
     else:
-        # Fixed-width keys are unique, so whole records sort by key bytes. They
-        # are joined 1024 at a time: `bytes.join` holds a buffer view per item.
-        entry = struct.Struct(f"<{_key_format(index.hashed, index.n)}Q")
-        records = sorted(starmap(entry.pack, table.items()))
-        entries = (b"".join(records[i : i + 1024]) for i in range(0, len(records), 1024))
+        entry = struct.Struct(f"<{_key_format(hashed, index.n)}Q")
+        if hashed:
+            packed = map(entry.pack, table, table.values())
+            ints = sorted(map(int.from_bytes, packed, repeat("big")))
+            entries = _joined(map(int.to_bytes, ints, repeat(entry.size), repeat("big")))
+        else:
+            keys = sorted(table)
+            entries = _joined(map(entry.pack, keys, map(table.__getitem__, keys)))
 
     trailer = None  # exact text indexes have none: their keys hold the tokens
     if kind == _KIND_IMAGE:
-        key = struct.Struct(f"<{_key_format(index.hashed, IMAGE_TOKEN_LEN)}")
-        trailer = sorted(map(key.pack, index.exact_sequences))
-    elif index.hashed:
-        trailer = list(map(_U64.pack, sorted(index.meaningless_tokens)))
-    tail = [] if trailer is None else [_U64.pack(len(trailer)), b"".join(trailer)]
+        trailer = sorted(index.exact_sequences, key=_U64.pack if hashed else None)
+    elif hashed:
+        trailer = sorted(index.meaningless_tokens)  # by value, unlike the entries
+    tail = []
+    if trailer is not None:
+        records = map(_U64.pack, trailer) if hashed else iter(trailer)
+        tail = chain([_U64.pack(len(trailer))], _joined(records))
     write_atomic(path, chain([header], entries, tail))
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.off = len(NGI_MAGIC)
+    """An open NGI1 file past its magic, buffered about `_READ_SIZE` bytes at a time.
+
+    `data[off:]` holds the bytes read but not yet taken, and `left` counts the
+    bytes of the file (its size at open) not yet read. A read never asks for
+    more than `left`, so a corrupt size fails as a truncated file at once.
+    """
+
+    def __init__(self, fh, path):
+        self.fh = fh
         self.path = path
+        self.data = b""
+        self.off = 0
+        at = fh.tell()
+        self.left = fh.seek(0, os.SEEK_END) - at
+        fh.seek(at)
 
     def truncated(self) -> CoreliteError:
         return CoreliteError(f"{self.path}: truncated index file")
 
+    def refill(self, off: int, need: int) -> tuple[bytes, int, int]:
+        """Read the file again from `data[off]` on, at least `need` bytes.
+
+        It reads `_READ_SIZE` bytes, or `need` if more, or what is left if
+        less. The bytes from `off` to the end of the buffer are read again
+        rather than copied. Returns the new buffer, its offset (0) and size.
+        """
+        back = len(self.data) - off
+        if need > back + self.left:
+            raise self.truncated()
+        self.fh.seek(-back, os.SEEK_CUR)
+        self.left += back
+        self.data = self.fh.read(min(max(need, _READ_SIZE), self.left))
+        self.left -= len(self.data)
+        self.off = 0
+        if len(self.data) < need:  # the file shrank since it was opened
+            raise self.truncated()
+        return self.data, 0, len(self.data)
+
     def raw(self, size: int) -> bytes:
         if self.off + size > len(self.data):
-            raise self.truncated()
+            self.refill(self.off, size)
         self.off += size
         return self.data[self.off - size : self.off]
 
@@ -460,7 +523,8 @@ class _Reader:
         are valid UTF-8 as they stand, so only a key that is not all ASCII (a
         multi-byte token, a length byte of 0x80 or more) decodes each token as
         the walk passes it. Only a key that fails goes through `_split_words`,
-        which names the first fault.
+        which names the first fault. The buffer is refilled only where a field
+        runs past its end.
         """
         (count,) = self.take("<Q")
         data, off, size = self.data, self.off, len(self.data)
@@ -469,11 +533,12 @@ class _Reader:
         table = {}
         for _ in range(count):
             if off + 4 > size:
-                raise self.truncated()
+                data, off, size = self.refill(off, 4)
             start = off + 4
             off = start + u32(data, off)[0]
             if off > size:
-                raise self.truncated()
+                off -= start  # the key's length
+                data, start, size = self.refill(start, off)
             key = data[start:off]
             pos = 0
             try:
@@ -490,7 +555,7 @@ class _Reader:
             if pos != len(key):
                 self.bad_text_key(key, n)
             if off + 8 > size:
-                raise self.truncated()
+                data, off, size = self.refill(off, 8)
             (table[key],) = u64(data, off)
             off += 8
         self.off = off
@@ -508,43 +573,61 @@ class _Reader:
         """A u64 count, then that many fixed-width `fmt` records, unpacked."""
         (count,) = self.take("<Q")
         record = struct.Struct(f"<{fmt}")
-        return record.iter_unpack(self.raw(count * record.size))
+        views = self.views(count, record.size)
+        return chain.from_iterable(map(record.iter_unpack, views))
+
+    def views(self, count: int, size: int):
+        """Views of `count` records of `size` bytes, each view all that is buffered."""
+        while count:
+            if len(self.data) - self.off < size:
+                self.refill(self.off, size)
+            whole = min(count, (len(self.data) - self.off) // size)
+            end = self.off + whole * size
+            yield memoryview(self.data)[self.off : end]
+            self.off, count = end, count - whole
 
 
 def load_index(path):
-    """Read an NGI1 index file; returns a TextNGramIndex or ImageNGramIndex."""
-    data = Path(path).read_bytes()
-    if data[:4] != NGI_MAGIC:
-        raise CoreliteError(f"{path}: bad magic, expected {NGI_MAGIC!r}")
-    r = _Reader(data, path)
-    version, n, freq, kind, hashed = r.take("<HHIBB")
-    if version != NGI_VERSION:
-        raise CoreliteError(f"{path}: unsupported index version {version}")
-    if kind not in _MAX_N or hashed not in (0, 1):
-        raise CoreliteError(
-            f"{path}: unknown index kind {kind} or hashed flag {hashed}"
-        )
-    _check_n(kind, n, f"{path}: ")
-    hashed = bool(hashed)
+    """Read an NGI1 index file; returns a TextNGramIndex or ImageNGramIndex.
 
-    entries_at = r.off  # the u64 entry count
-    if kind == _KIND_TEXT and not hashed:
-        table = r.text_table(n)
-    else:
-        table = dict(r.records(f"{_key_format(hashed, n)}Q"))
-    if len(table) != _U64.unpack_from(data, entries_at)[0] or 0 in table.values():
-        raise CoreliteError(f"{path}: index keys must be distinct, counts above 0")
-    if kind == _KIND_TEXT:
-        _check_freq(freq, f"{path}: ")
-        # The hashed-text trailer holds the u64 meaningless-token hashes.
-        tokens = chain.from_iterable(r.records("Q")) if hashed else None
-        index = _text_index(n, freq, hashed, table, tokens)
-    else:
-        if freq:
-            raise CoreliteError(f"{path}: image index freq_threshold is {freq}, not 0")
-        key = _key_format(hashed, IMAGE_TOKEN_LEN)
-        exact = frozenset(chain.from_iterable(r.records(key)))
-        index = ImageNGramIndex(n=n, hashed=hashed, table=table, exact_sequences=exact)
-    if r.off != len(data):
-        raise CoreliteError(f"{path}: trailing bytes in index file")
+    The file is read about `_READ_SIZE` (1 MiB) at a time, so a load holds the
+    index it builds and not the file beside it. A pipe is read whole.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(NGI_MAGIC)) != NGI_MAGIC:
+            raise CoreliteError(f"{path}: bad magic, expected {NGI_MAGIC!r}")
+        r = _Reader(fh if fh.seekable() else io.BytesIO(fh.read()), path)
+        version, n, freq, kind, hashed = r.take("<HHIBB")
+        if version != NGI_VERSION:
+            raise CoreliteError(f"{path}: unsupported index version {version}")
+        if kind not in _MAX_N or hashed not in (0, 1):
+            raise CoreliteError(
+                f"{path}: unknown index kind {kind} or hashed flag {hashed}"
+            )
+        _check_n(kind, n, f"{path}: ")
+        hashed = bool(hashed)
+
+        (entries,) = r.take("<Q")
+        r.off -= 8  # step back: the table readers take the count themselves
+        if kind == _KIND_TEXT and not hashed:
+            table = r.text_table(n)
+        else:
+            table = dict(r.records(f"{_key_format(hashed, n)}Q"))
+        if len(table) != entries or 0 in table.values():
+            raise CoreliteError(f"{path}: index keys must be distinct, counts above 0")
+        if kind == _KIND_TEXT:
+            _check_freq(freq, f"{path}: ")
+            # The hashed-text trailer holds the u64 meaningless-token hashes.
+            tokens = chain.from_iterable(r.records("Q")) if hashed else None
+            index = _text_index(n, freq, hashed, table, tokens)
+        else:
+            if freq:
+                raise CoreliteError(
+                    f"{path}: image index freq_threshold is {freq}, not 0"
+                )
+            key = _key_format(hashed, IMAGE_TOKEN_LEN)
+            exact = frozenset(chain.from_iterable(r.records(key)))
+            index = ImageNGramIndex(n, hashed, table, exact)
+        if r.off != len(r.data) or r.fh.read(1):  # left in the buffer, or unread
+            raise CoreliteError(f"{path}: trailing bytes in index file")
     return index

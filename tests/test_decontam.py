@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import random
 import struct
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 from types import SimpleNamespace
 from unittest import mock
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corelite import CoreliteError
+from corelite import CoreliteError, decontam
 from corelite.corpus import TextDocument, TokenSequence, tokenize_text
 from corelite.decontam import (
     ContaminationCategory,
@@ -913,3 +917,176 @@ class TestGoldenNGI1:
         by_value = sorted(tokens)
         by_bytes = sorted(tokens, key=lambda t: struct.pack("<Q", t))
         assert by_value != by_bytes
+
+
+# --- streamed loads ----------------------------------------------------------
+
+
+@pytest.fixture(scope="class", params=[1, 7, 64], ids=lambda size: f"read{size}")
+def small_reads(request):
+    """`load_index` reading a few bytes at a time, so every field crosses a refill."""
+    with mock.patch.object(decontam, "_READ_SIZE", request.param):
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_reads")
+class TestFastTextReaderSmallReads(TestFastTextReader):
+    """The oracle comparison with counts, keys and trailers split across reads."""
+
+
+@pytest.mark.usefixtures("small_reads")
+class TestSerializationSmallReads(TestSerialization):
+    """Round trips and entry faults with records split across reads."""
+
+
+@pytest.mark.usefixtures("small_reads")
+class TestForgedHeadersSmallReads(TestForgedHeaders):
+    """Header and key faults with fields split across reads."""
+
+
+def _golden_index(kind, hashed, empty=False):
+    """An index over the golden corpus (non-ASCII text keys, a duplicate image)."""
+    if kind == "text":
+        train = [] if empty else GOLDEN_TEXT
+        return build_text_index(train, freq_threshold=3, hashed=hashed)
+    return build_image_index([] if empty else GOLDEN_IMAGES, hashed=hashed)
+
+
+KINDS = [("text", False), ("text", True), ("image", False), ("image", True)]
+KIND_IDS = ["text-exact", "text-hashed", "image-exact", "image-hashed"]
+
+
+@pytest.mark.usefixtures("small_reads")
+class TestSmallReads:
+    @pytest.mark.parametrize("empty", [False, True], ids=["full", "empty"])
+    @pytest.mark.parametrize("kind,hashed", KINDS, ids=KIND_IDS)
+    def test_roundtrip(self, tmp_path, kind, hashed, empty):
+        index = _golden_index(kind, hashed, empty)
+        save_index(index, tmp_path / "idx.bin")
+        assert load_index(tmp_path / "idx.bin") == index
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_read_whole(self, tmp_path):
+        index = _golden_index("image", False)
+        save_index(index, tmp_path / "idx.bin")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        raw = (tmp_path / "idx.bin").read_bytes()
+        writer = threading.Thread(target=pipe.write_bytes, args=(raw,), daemon=True)
+        writer.start()
+        assert load_index(pipe) == index
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("kind,hashed", KINDS, ids=KIND_IDS)
+    def test_every_cut_is_truncated(self, tmp_path, kind, hashed):
+        path = tmp_path / "idx.bin"
+        save_index(_golden_index(kind, hashed), path)
+        raw = path.read_bytes()
+        cuts = sorted({*range(4, len(raw), max(1, len(raw) // 40)), len(raw) - 1})
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CoreliteError) as exc:
+                load_index(path)
+            assert str(exc.value) == f"{path}: truncated index file", cut
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: trailing bytes in index file"
+
+
+def _load_error_and_peak(path, text_table=_Reader.text_table):
+    """load_index's error message and tracemalloc peak, with `text_table`."""
+    tracemalloc.start()
+    try:
+        with mock.patch.object(_Reader, "text_table", text_table):
+            with pytest.raises(CoreliteError) as exc:
+                load_index(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(exc.value), peak
+
+
+class TestBoundedReads:
+    """A corrupt size ends in a truncated file, with no read of that size."""
+
+    @pytest.mark.parametrize("kind,hashed", KINDS, ids=KIND_IDS)
+    def test_entry_count_2_63(self, tmp_path, kind, hashed):
+        # The entries run on into the trailer and then the end of the file.
+        path = tmp_path / "idx.bin"
+        save_index(_golden_index(kind, hashed), path)
+        data = bytearray(path.read_bytes())
+        data[14:22] = struct.pack("<Q", 2**63)  # the entry count
+        path.write_bytes(data)
+        message, peak = _load_error_and_peak(path)
+        assert message == f"{path}: truncated index file"
+        assert peak < 256 * 1024
+
+    @pytest.mark.parametrize("text_table", [_Reader.text_table, text_table_oracle],
+                             ids=["fast", "oracle"])
+    def test_text_key_length_u32_max(self, tmp_path, text_table):
+        body = struct.pack("<QI", 1, 0xFFFFFFFF) + text_key(["a"] * 8)
+        path = _forged(tmp_path, 8, 0, 0, body)
+        message, peak = _load_error_and_peak(path, text_table)
+        assert message == f"{path}: truncated index file"
+        assert peak < 256 * 1024
+
+
+def _traced(fn, *args):
+    """fn(*args), and tracemalloc's current and peak bytes once it returns."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class TestPeakMemory:
+    """Each n-gram table is held once: no file image, record list or table copy."""
+
+    def test_load_holds_no_file_image(self, tmp_path):
+        # 20-byte words make the file several times the table's dict.
+        rng = random.Random(1)
+        vocab = [f"{'x' * 14}{i:06d}" for i in range(3000)]
+        train = [doc(f"t{i}", " ".join(rng.choices(vocab, k=60))) for i in range(400)]
+        path = tmp_path / "idx.bin"
+        save_index(build_text_index(train), path)
+        read_size = 64 * 1024
+        with mock.patch.object(decontam, "_READ_SIZE", read_size):
+            index, current, peak = _traced(load_index, path)
+        assert len(index.table) == 400 * 53
+        slack = 4 * read_size
+        assert peak - current < slack < path.stat().st_size / 8
+
+    def test_exact_image_save_holds_sorted_keys_and_one_chunk(self, tmp_path):
+        rng = random.Random(2)
+        train = [seq(f"i{i}", [rng.randrange(2**32) for _ in range(32)])
+                 for i in range(1000)]
+        index = build_image_index(train)
+        _, current, peak = _traced(save_index, index, tmp_path / "idx.bin")
+        # The sorted keys and the sort's scratch (up to half as many); then,
+        # while a chunk is joined, its 1024 packed 40-byte records and up to
+        # three joined chunks: the new one and those its writers still hold.
+        keys = sys.getsizeof(sorted(index.table))
+        chunk = 1024 * (sys.getsizeof(bytes(40)) + 8 + 3 * 40)
+        assert peak - current < 1.5 * keys + chunk + 64 * 1024
+
+    @pytest.mark.parametrize("kind", ["text", "image"])
+    def test_exact_build_holds_one_table(self, kind):
+        # A copy of the finished table would add its dict storage (getsizeof)
+        # beside it; growing the table in place holds at most its old storage.
+        rng = random.Random(3)
+        if kind == "text":
+            vocab = [f"w{i}" for i in range(3000)]
+            train = [doc(f"t{i}", " ".join(rng.choices(vocab, k=60)))
+                     for i in range(700)]
+            index, current, peak = _traced(build_text_index, train)
+        else:
+            train = [seq(f"i{i}", [rng.randrange(2**32) for _ in range(32)])
+                     for i in range(1400)]
+            index, current, peak = _traced(build_image_index, train)
+        assert len(index.table) == 35_000 + (2_100 if kind == "text" else 0)
+        assert peak - current < 0.8 * sys.getsizeof(index.table)

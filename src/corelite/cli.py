@@ -7,7 +7,10 @@ reproduce byte-identical outputs. Every file is written atomically.
 
 Each command imports only what it runs. Only `select` and `correlate` load
 numpy; `gap`, `aggregate`, the n-gram commands and `--version` start
-without it. Only the four n-gram commands load `decontam`.
+without it. Only the four n-gram commands load `decontam`. `hashlib` (and
+libcrypto with it) loads when the manifest's inputs are hashed, after the
+command has returned and its data is freed, so it never adds to a command's
+peak memory, and `--version` never loads it.
 
 Exit codes: 0 success, 1 data/content error, 2 usage error.
 """
@@ -15,7 +18,6 @@ Exit codes: 0 success, 1 data/content error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -33,6 +35,8 @@ from .corpus import (
 
 
 def _sha256(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -119,7 +123,7 @@ def cmd_gap(args) -> tuple[dict, dict]:
 def cmd_index_text(args) -> tuple[dict, dict]:
     from . import decontam
 
-    train = load_text_corpus(args.train)
+    train = load_text_corpus(args.train)  # streamed into the build
     index = decontam.build_text_index(
         train, n=args.n, freq_threshold=args.freq_threshold, hashed=args.hashed
     )
@@ -134,7 +138,7 @@ def cmd_scan_text(args) -> tuple[dict, dict]:
     index = decontam.load_index(args.index)
     if not isinstance(index, decontam.TextNGramIndex):
         raise CoreliteError(f"{args.index}: not a text index")
-    bench = load_text_corpus(args.bench)
+    bench = list(load_text_corpus(args.bench))
     report = decontam.scan_text(bench, index, ratio_threshold=args.ratio_threshold)
     _write_json(args.out, asdict(report))
     print(f"text_overlap_pct={report.text_overlap_pct}")
@@ -145,7 +149,7 @@ def cmd_scan_text(args) -> tuple[dict, dict]:
 def cmd_index_image(args) -> tuple[dict, dict]:
     from . import decontam
 
-    train = load_token_corpus(args.train)
+    train = load_token_corpus(args.train)  # streamed into the build
     index = decontam.build_image_index(train, hashed=args.hashed)
     decontam.save_index(index, args.out)
     return {"n": index.n, "hashed": args.hashed}, {"train": args.train}
@@ -157,7 +161,7 @@ def cmd_scan_image(args) -> tuple[dict, dict]:
     index = decontam.load_index(args.index)
     if not isinstance(index, decontam.ImageNGramIndex):
         raise CoreliteError(f"{args.index}: not an image index")
-    bench = load_token_corpus(args.bench)
+    bench = list(load_token_corpus(args.bench))
     try:  # the bench was checked as it loaded, so a fault here is the index's
         report = decontam.scan_image(bench, index)
     except CoreliteError as exc:

@@ -17,7 +17,7 @@ import struct
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import CoreliteError
 
@@ -27,6 +27,7 @@ if TYPE_CHECKING:
 EMB_MAGIC = b"EMB1"
 IMAGE_TOKEN_LEN = 32
 _MAX_TOKEN_ID = (1 << 32) - 1
+_INT_ONLY = frozenset({int})  # element types of a token list checked in C alone
 _MAX_COUNT = 1 << 53  # the largest count a float64 weight holds exactly
 _FINITE_ROWS = 1024  # rows per finiteness check, so its bool arrays stay small
 _NORM_ROWS = 32  # EMB1 rows read, normalized and widened at a time, so they stay in cache
@@ -119,6 +120,23 @@ class TokenSequence:
     tokens: tuple[int, ...]
 
     def __post_init__(self):
+        tokens, seq_id = self.tokens, self.id
+        # The common case in C-level calls: exact ints in range, an ASCII id.
+        if not (
+            isinstance(tokens, (list, tuple))
+            and len(tokens) == IMAGE_TOKEN_LEN
+            and set(map(type, tokens)) == _INT_ONLY
+            and 0 <= min(tokens)
+            and max(tokens) <= _MAX_TOKEN_ID
+            and type(seq_id) is str
+            and seq_id.isascii()
+            and seq_id
+        ):
+            self._check_each_token()
+        object.__setattr__(self, "tokens", tuple(tokens))
+
+    def _check_each_token(self):
+        """The rules one token at a time: the first fault, in rule order, raises."""
         if not isinstance(self.tokens, (list, tuple)) or not all(
             isinstance(t, int) and not isinstance(t, bool) for t in self.tokens
         ):
@@ -131,7 +149,6 @@ class TokenSequence:
         for t in self.tokens:
             if not (0 <= t <= _MAX_TOKEN_ID):
                 raise CoreliteError(f"id={self.id}: token id {t} out of range")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
 
 
 @dataclass(frozen=True)
@@ -296,15 +313,17 @@ def read_json(path):
         raise CoreliteError(f"{path}: JSON nested too deeply") from None
 
 
-def _jsonl_records(path, field_name: str, make) -> list:
-    """Build `make(id, record[field_name])` for each JSONL record, in file order.
+def _jsonl_records(path, field_name: str, make) -> Iterator:
+    """Yield `make(id, record[field_name])` for each JSONL record, in file order.
 
-    Lines end at LF (a CR before it is whitespace); blank lines are skipped.
-    Every record must be a JSON object with an id, unique within the file,
-    and the named field; `make` checks both. Errors name file and line.
+    Lazily: the file opens at the first record asked for, and each line is
+    read, checked and built as it is reached, so a caller that streams the
+    records never holds them all. Lines end at LF (a CR before it is
+    whitespace); blank lines are skipped. Every record must be a JSON object
+    with an id, unique within the file, and the named field; `make` checks
+    both. Errors name file and line, and end the iteration.
     """
     seen: set[str] = set()
-    records = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -321,8 +340,6 @@ def _jsonl_records(path, field_name: str, make) -> list:
                 if record.id in seen:
                     raise CoreliteError(f"duplicate id {record.id!r}")
                 seen.add(record.id)
-                records.append(record)
-                continue
             except UnicodeDecodeError as exc:
                 message = f"invalid UTF-8 ({exc.reason})"
             except json.JSONDecodeError as exc:
@@ -331,17 +348,26 @@ def _jsonl_records(path, field_name: str, make) -> list:
                 message = "JSON nested too deeply"
             except CoreliteError as exc:
                 message = str(exc)
+            else:
+                yield record
+                continue
             raise CoreliteError(f"{path}: line {lineno}: {message}") from None
-    return records
 
 
-def load_text_corpus(path) -> list[TextDocument]:
-    """Read line-delimited JSON records {"id": ..., "text": ...} in file order."""
+def load_text_corpus(path) -> Iterator[TextDocument]:
+    """Yield line-delimited JSON records {"id": ..., "text": ...} in file order.
+
+    The records come one at a time as the file is read (see `_jsonl_records`);
+    wrap the call in `list()` to check the whole file before using a record.
+    """
     return _jsonl_records(path, "text", TextDocument)
 
 
-def load_token_corpus(path) -> list[TokenSequence]:
-    """Read line-delimited JSON records {"id": ..., "tokens": [...]} in file order."""
+def load_token_corpus(path) -> Iterator[TokenSequence]:
+    """Yield line-delimited JSON records {"id": ..., "tokens": [...]} in file order.
+
+    Lazily, as `load_text_corpus`: a fault is raised when its line is reached.
+    """
     return _jsonl_records(path, "tokens", TokenSequence)
 
 

@@ -29,7 +29,8 @@ import struct
 from collections import Counter, _count_elements  # Counter.update's C loop
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
-from typing import NoReturn
+from operator import itemgetter
+from typing import Iterable, NoReturn
 
 from . import CoreliteError
 from .corpus import (
@@ -268,7 +269,7 @@ def _encoded_texts(pairs, n: int):
         yield (item, encoded), _text_windows(encoded, n)
 
 
-def _encoded_images(seqs: list[TokenSequence], n: int):
+def _encoded_images(seqs: Iterable[TokenSequence], n: int):
     """(id, exact keys) per sequence: its windows', then the whole sequence's."""
     for seq in seqs:
         encoded = _IMAGE_IDS.pack(*seq.tokens)
@@ -288,7 +289,7 @@ def _text_index(
 
 
 def build_text_index(
-    train: list[TextDocument],
+    train: Iterable[TextDocument],
     n: int = 8,
     freq_threshold: int = 10,
     hashed: bool = False,
@@ -301,7 +302,9 @@ def build_text_index(
     that key already has. Counts only grow, so each such key ends
     meaningless, and each meaningless key gives its tokens once (absent a
     64-bit collision, every window of a key holds the same tokens). The
-    table counted into is the one returned.
+    table counted into is the one returned. `train` is read once, after the
+    parameters are checked, and only its distinct texts are kept, so it may
+    be a lazy loader's output.
     """
     _check_n(_KIND_TEXT, n)
     _check_freq(freq_threshold)
@@ -358,11 +361,13 @@ def scan_text(
 
 
 def build_image_index(
-    train: list[TokenSequence], n: int = 8, hashed: bool = False
+    train: Iterable[TokenSequence], n: int = 8, hashed: bool = False
 ) -> ImageNGramIndex:
     """Index all stride-1 windows of the 32-token training sequences.
 
-    The table counted into is the one returned.
+    The table counted into is the one returned. `train` is read once, after
+    `n` is checked, and no sequence is kept, so it may be a lazy loader's
+    output: the build then holds the table and one hash batch of windows.
     """
     _check_n(_KIND_IMAGE, n)
     table: dict = {}
@@ -400,7 +405,8 @@ def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapRep
 # byte length, then per token a u32 byte length and its UTF-8. Trailers:
 # image indexes store a u64 count and the exact-sequence keys; hashed text
 # indexes a u64 count and the u64 meaningless-token hashes; exact text
-# indexes nothing, as their keys hold those tokens.
+# indexes nothing, as their keys hold those tokens. Keys never repeat, in
+# the entries or in a trailer.
 #
 # Sort orders make files byte-reproducible. Entries and image sequences sort
 # by key bytes (exact text: without the length prefix), so hashed keys sort
@@ -422,16 +428,34 @@ def _joined(records):
         yield chunk
 
 
+def _fixed_records(keys, hashed: bool, tokens: int, counts=None):
+    """The NGI1 records of fixed-width `keys` (with their counts), in file order.
+
+    Each key goes by the first byte of its file form (a hash's low byte, an
+    image key's first byte) into one of 256 lists of references. Then one
+    list at a time is packed, sorted as bytes and joined: keys differ, so
+    records sort as their keys' bytes do. The save holds a reference per
+    key and one bucket's records, not a new object per key.
+    """
+    first_byte = (0xFF).__and__ if hashed else itemgetter(0)
+    key = _key_format(hashed, tokens)
+    record = struct.Struct(f"<{key}" if counts is None else f"<{key}Q")
+    buckets = [[] for _ in range(256)]
+    for key in keys:
+        buckets[first_byte(key)].append(key)
+    for bucket in buckets:
+        values = () if counts is None else (map(counts.__getitem__, bucket),)
+        yield b"".join(sorted(map(record.pack, bucket, *values)))
+
+
 def save_index(index, path) -> None:
     """Stream a text or image n-gram index to `path` in the NGI1 binary format.
 
-    Exact keys are sorted alone, and each record is packed with its count
-    as it is written: the save holds the sorted keys and one chunk of
-    records beside the index. An exact image key is its record's prefix, so
-    the keys sort as the records do. A hash sorts by its little-endian
-    bytes, so the sort needs a new object per hash: the big-endian int of
-    its record sorts the same, carries the count (no lookup per record) and
-    takes less memory than the record's bytes.
+    Exact text keys are sorted alone, and each record is packed with its
+    count as it is written. Every fixed-width table (hashed text, hashed or
+    exact image) and the image trailer go through `_fixed_records`, which
+    sorts 256 buckets of key references one at a time. So a save holds,
+    beside the index, one reference per key and one bucket of records.
     """
     if isinstance(index, TextNGramIndex):
         kind, freq = _KIND_TEXT, index.freq_threshold
@@ -447,24 +471,16 @@ def save_index(index, path) -> None:
     if kind == _KIND_TEXT and not hashed:
         entries = (_U32.pack(len(k)) + k + _U64.pack(table[k]) for k in sorted(table))
     else:
-        entry = struct.Struct(f"<{_key_format(hashed, index.n)}Q")
-        if hashed:
-            packed = map(entry.pack, table, table.values())
-            ints = sorted(map(int.from_bytes, packed, repeat("big")))
-            entries = _joined(map(int.to_bytes, ints, repeat(entry.size), repeat("big")))
-        else:
-            keys = sorted(table)
-            entries = _joined(map(entry.pack, keys, map(table.__getitem__, keys)))
+        entries = _fixed_records(table, hashed, index.n, table)
 
-    trailer = None  # exact text indexes have none: their keys hold the tokens
+    tail = ()  # exact text indexes have no trailer: their keys hold the tokens
     if kind == _KIND_IMAGE:
-        trailer = sorted(index.exact_sequences, key=_U64.pack if hashed else None)
+        seqs = index.exact_sequences
+        records = _fixed_records(seqs, hashed, IMAGE_TOKEN_LEN)
+        tail = chain([_U64.pack(len(seqs))], records)
     elif hashed:
-        trailer = sorted(index.meaningless_tokens)  # by value, unlike the entries
-    tail = []
-    if trailer is not None:
-        records = map(_U64.pack, trailer) if hashed else iter(trailer)
-        tail = chain([_U64.pack(len(trailer))], _joined(records))
+        tokens = sorted(index.meaningless_tokens)  # by value, unlike the entries
+        tail = chain([_U64.pack(len(tokens))], _joined(map(_U64.pack, tokens)))
     write_atomic(path, chain([header], entries, tail))
 
 
@@ -576,6 +592,15 @@ class _Reader:
         views = self.views(count, record.size)
         return chain.from_iterable(map(record.iter_unpack, views))
 
+    def key_set(self, fmt: str) -> frozenset:
+        """A trailer: a u64 count, then that many different fixed-width `fmt` keys."""
+        (count,) = self.take("<Q")
+        self.off -= 8  # step back: `records` takes the count itself
+        keys = frozenset(chain.from_iterable(self.records(fmt)))
+        if len(keys) != count:
+            raise CoreliteError(f"{self.path}: trailer keys must be distinct")
+        return keys
+
     def views(self, count: int, size: int):
         """Views of `count` records of `size` bytes, each view all that is buffered."""
         while count:
@@ -618,15 +643,14 @@ def load_index(path):
         if kind == _KIND_TEXT:
             _check_freq(freq, f"{path}: ")
             # The hashed-text trailer holds the u64 meaningless-token hashes.
-            tokens = chain.from_iterable(r.records("Q")) if hashed else None
+            tokens = r.key_set("Q") if hashed else None
             index = _text_index(n, freq, hashed, table, tokens)
         else:
             if freq:
                 raise CoreliteError(
                     f"{path}: image index freq_threshold is {freq}, not 0"
                 )
-            key = _key_format(hashed, IMAGE_TOKEN_LEN)
-            exact = frozenset(chain.from_iterable(r.records(key)))
+            exact = r.key_set(_key_format(hashed, IMAGE_TOKEN_LEN))
             index = ImageNGramIndex(n, hashed, table, exact)
         if r.off != len(r.data) or r.fh.read(1):  # left in the buffer, or unread
             raise CoreliteError(f"{path}: trailing bytes in index file")

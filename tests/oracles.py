@@ -3,9 +3,10 @@
 Exact k-center solvers for the greedy, the earlier numpy subset gap for its
 plain-Python means, a tokenizer that reads one code point at a time, the
 byte-at-a-time FNV-1a that the hashed n-gram keys are checked against, the
-overlap ratio of one window, that the text scan is checked against, and an
+overlap ratio of one window, that the text scan is checked against, an
 NGI1 writer that builds the whole file in memory, that the streamed
-`save_index` is checked against.
+`save_index` is checked against, and the per-token check of an image-token
+sequence, that `TokenSequence`'s C-level check is checked against.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 
 from corelite import CoreliteError
 from corelite.coreset import CoresetSelection, SubsetGap, _check_k
-from corelite.corpus import EmbeddingMatrix
+from corelite.corpus import IMAGE_TOKEN_LEN, EmbeddingMatrix, _check_id
 from corelite.decontam import TextNGramIndex
 
 
@@ -177,3 +178,19 @@ def ngi1_bytes(index) -> bytes:
     if trailer is not None:
         out += struct.pack("<Q", len(trailer)) + b"".join(trailer)
     return bytes(out)
+
+
+def check_token_sequence(seq_id, tokens) -> None:
+    """TokenSequence's rules one token at a time; the first fault in rule order raises."""
+    if not isinstance(tokens, (list, tuple)) or not all(
+        isinstance(t, int) and not isinstance(t, bool) for t in tokens
+    ):
+        raise CoreliteError("tokens must be a list of integers")
+    if len(tokens) != IMAGE_TOKEN_LEN:
+        raise CoreliteError(
+            f"id={seq_id}: length {len(tokens)}, expected {IMAGE_TOKEN_LEN}"
+        )
+    _check_id(seq_id, "sequence")
+    for t in tokens:
+        if not (0 <= t <= 0xFFFFFFFF):
+            raise CoreliteError(f"id={seq_id}: token id {t} out of range")

@@ -985,6 +985,30 @@ class TestErrorLines:
             f"corelite: error: {train}: line 2: sequence id must be non-empty\n"
         )
 
+    @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
+    @pytest.mark.parametrize("command", ["index-text", "index-image"])
+    @pytest.mark.parametrize("fault", ["bad-line-3", "missing"])
+    def test_streamed_training_file_fault(self, tmp_path, capsys, command, hashed, fault):
+        # The build reads the training file as it counts, so lines 1 and 2
+        # are counted before line 3 fails; nothing is written either way.
+        train = tmp_path / "train.jsonl"
+        field = "text" if command == "index-text" else "tokens"
+        inputs = []
+        if fault == "bad-line-3":
+            good = {"text": "a b c d e f g h i", "tokens": list(range(32))}
+            write_jsonl(train, [{"id": "a", **good}, {"id": "b", **good}, {"id": "c"}])
+            inputs = ["train.jsonl"]
+        argv = [command, "--train", str(train), "--out", str(tmp_path / "i")]
+        err = self._fails_cleanly(
+            tmp_path, capsys, argv + (["--hashed"] if hashed else []), inputs
+        )
+        if fault == "bad-line-3":
+            assert err == f"corelite: error: {train}: line 3: missing field {field}\n"
+        else:
+            assert err == (
+                f"corelite: error: [Errno 2] No such file or directory: '{train}'\n"
+            )
+
     @pytest.mark.parametrize("fault", ["text-index", "version-2"])
     def test_bad_image_index(self, tmp_path, capsys, fault):
         train = write_jsonl(
@@ -1040,19 +1064,31 @@ class TestErrorLines:
             main(["gap", "--scores", "s", "--selection", "x", "--out", "o"])
 
 
-# Runs corelite.cli.main in-process for each argv of a JSON list and writes,
-# for each run, whether numpy and corelite.decontam had been imported by its end.
+# Runs corelite.cli.main in-process on one argv and writes whether numpy and
+# corelite.decontam had been imported by its end, and whether _hashlib
+# (libcrypto) had been when the command function returned, or by the end if
+# no command ran (--version).
 _IMPORT_PROBE = """
 import json, sys
-from corelite.cli import main
-seen = []
-for argv in json.loads(sys.argv[1]):
-    try:
-        rc = main(argv)
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == 0, argv
-    seen.append([argv[0], "numpy" in sys.modules, "corelite.decontam" in sys.modules])
+import corelite.cli as cli
+hashlib = []
+def watch(name):
+    command = getattr(cli, name)
+    def watched(args):
+        result = command(args)
+        hashlib.append("_hashlib" in sys.modules)
+        return result
+    setattr(cli, name, watched)
+for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+    watch(name)
+argv = json.loads(sys.argv[1])
+try:
+    rc = cli.main(argv)
+except SystemExit as exc:
+    rc = exc.code
+assert rc == 0, argv
+hashlib.append("_hashlib" in sys.modules)
+seen = [argv[0], "numpy" in sys.modules, "corelite.decontam" in sys.modules, hashlib[0]]
 with open(sys.argv[2], "w") as fh:
     json.dump(seen, fh)
 """
@@ -1069,10 +1105,10 @@ def _src_env() -> dict:
     return env
 
 
-def _import_probe(cwd, runs):
+def _import_probe(cwd, argv):
     result = cwd / "imports.json"
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs), str(result)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv), str(result)],
         cwd=cwd, env=_src_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1083,8 +1119,10 @@ class TestNumpyStaysOut:
     """Each command imports only what it runs.
 
     Only select and correlate load numpy, and only the n-gram commands load
-    decontam. A module one run imports stays for the next, so each command
-    outside the n-gram group runs in a process of its own.
+    decontam. No command loads hashlib's libcrypto before it returns: the
+    manifest's digests load it once the command's data is freed, so it adds
+    nothing to the command's peak. A module one run imports stays for the
+    next, so each command runs in a process of its own.
     """
 
     def test_ngram_commands(self, tmp_path):
@@ -1104,15 +1142,16 @@ class TestNumpyStaysOut:
                 ["scan-image", "--index", "i.idx", "--bench", "img.jsonl",
                  "--report", "i.json"],
             ]
-        assert _import_probe(tmp_path, runs) == [
-            [argv[0], False, argv[0] != "--version"] for argv in runs
-        ]
+        for argv in runs:
+            assert _import_probe(tmp_path, argv) == [
+                argv[0], False, argv[0] != "--version", False
+            ]
 
     def test_select_imports_numpy(self, tmp_path, emb_files):
         data_path, ids_path = emb_files
-        runs = [["select", "--embeddings", str(data_path), "--ids", str(ids_path),
-                 "--k", "3", "--out", "sel.json"]]
-        assert _import_probe(tmp_path, runs) == [["select", True, False]]
+        argv = ["select", "--embeddings", str(data_path), "--ids", str(ids_path),
+                "--k", "3", "--out", "sel.json"]
+        assert _import_probe(tmp_path, argv) == ["select", True, False, False]
 
     @pytest.mark.parametrize("argv,numpy", [
         (["--version"], False),
@@ -1127,7 +1166,7 @@ class TestNumpyStaysOut:
         )
         (tmp_path / "inst.csv").write_text("model,dataset,score\nm,a,1\nm,b,0.5\n")
         (tmp_path / "sel.json").write_text(json.dumps({"center_ids": ["b"]}))
-        assert _import_probe(tmp_path, [argv]) == [[argv[0], numpy, False]]
+        assert _import_probe(tmp_path, argv) == [argv[0], numpy, False, False]
 
 
 def test_demo_pipeline(tmp_path):

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corelite
@@ -31,7 +31,7 @@ from corelite.corpus import (
     write_atomic,
 )
 from corelite.decontam import build_image_index, build_text_index, save_index
-from oracles import unicode_tokenize_text
+from oracles import check_token_sequence, unicode_tokenize_text
 
 
 class TestTokenize:
@@ -102,14 +102,14 @@ class TestTextCorpus:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("")
-        assert load_text_corpus(p) == []
+        assert list(load_text_corpus(p)) == []
 
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text(
             '{"id": "a", "text": "hello"}\n{"id": "b", "text": "world"}\n'
         )
-        docs = load_text_corpus(p)
+        docs = list(load_text_corpus(p))
         assert [d.id for d in docs] == ["a", "b"]
         assert docs[1].text == "world"
 
@@ -119,18 +119,18 @@ class TestTextCorpus:
             '{"id": "a", "text": "x"}\n{"id": "b", "text": "y"}\n{"text": "z"}\n'
         )
         with pytest.raises(CoreliteError, match="line 3: missing field id"):
-            load_text_corpus(p)
+            list(load_text_corpus(p))
 
     def test_duplicate_id_named(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n')
         with pytest.raises(CoreliteError, match="'a'"):
-            load_text_corpus(p)
+            list(load_text_corpus(p))
 
     def test_load_twice_identical(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"id": "a", "text": "x"}\n{"id": "b", "text": ""}\n')
-        assert load_text_corpus(p) == load_text_corpus(p)
+        assert list(load_text_corpus(p)) == list(load_text_corpus(p))
 
 
 class TestTokenCorpus:
@@ -141,23 +141,23 @@ class TestTokenCorpus:
 
     def test_valid_32(self, tmp_path):
         p = self._write(tmp_path, [{"id": "img1", "tokens": list(range(32))}])
-        seqs = load_token_corpus(p)
+        seqs = list(load_token_corpus(p))
         assert len(seqs) == 1
         assert seqs[0].tokens == tuple(range(32))
 
     def test_wrong_length_names_id(self, tmp_path):
         p = self._write(tmp_path, [{"id": "img7", "tokens": list(range(31))}])
         with pytest.raises(CoreliteError, match="id=img7: length 31, expected 32"):
-            load_token_corpus(p)
+            list(load_token_corpus(p))
 
     def test_empty_file(self, tmp_path):
         p = self._write(tmp_path, [])
-        assert load_token_corpus(p) == []
+        assert list(load_token_corpus(p)) == []
 
     def test_negative_token_rejected(self, tmp_path):
         p = self._write(tmp_path, [{"id": "x", "tokens": [-1] + list(range(31))}])
         with pytest.raises(CoreliteError, match="out of range"):
-            load_token_corpus(p)
+            list(load_token_corpus(p))
 
 
 class TestRecordRules:
@@ -199,10 +199,69 @@ class TestRecordRules:
         p.write_text("\n".join(lines) + "\n")
         prefix = re.escape(f"{p}: line 3: ")
         with pytest.raises(CoreliteError, match=f"^{prefix}{re.escape(message)}$"):
-            loader(p)
+            list(loader(p))
 
     def test_tokens_stored_as_tuple(self):
         assert TokenSequence("a", list(range(32))).tokens == tuple(range(32))
+
+
+# Token values at and around each rule's edge, of every type a JSON list holds.
+_EDGE_TOKENS = [0, 1, -1, 2**32 - 1, 2**32, 2**64, -(2**63), True, False, 0.0, 1.5,
+                "1", None]
+
+
+@st.composite
+def _token_lists(draw):
+    """Mostly 32 valid ids, with a few edge values, 31 or 33 of them, or no list."""
+    tokens = draw(st.lists(st.integers(0, 2**32 - 1), min_size=32, max_size=32))
+    for _ in range(draw(st.integers(0, 2))):
+        tokens[draw(st.integers(0, 31))] = draw(st.sampled_from(_EDGE_TOKENS))
+    length = draw(st.sampled_from([32, 32, 32, 31, 33]))
+    tokens = (tokens + [draw(st.integers(0, 2**32))])[:length]
+    container = draw(st.sampled_from([list, list, tuple, str, dict.fromkeys]))
+    return container(tokens) if container is not str else "0" * length
+
+
+class TestTokenSequenceFastPath:
+    """`TokenSequence`'s C-level check against the per-token oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seq_id=st.one_of(
+            st.text(st.characters(max_codepoint=0x7F), max_size=4),
+            st.text(max_size=4),
+            st.sampled_from(["\ud800", "a\udfff", "é", "日本", "", 7, None]),
+        ),
+        tokens=_token_lists(),
+    )
+    @example(seq_id="a", tokens=[True] + list(range(31)))
+    @example(seq_id="a", tokens=[1.0] + list(range(31)))
+    @example(seq_id="a", tokens=[-1] + list(range(31)))
+    @example(seq_id="a", tokens=list(range(31)) + [2**32])
+    @example(seq_id="a", tokens=list(range(31)))
+    @example(seq_id="a", tokens=list(range(33)))
+    @example(seq_id="é", tokens=list(range(32)))
+    @example(seq_id="a\ud800", tokens=list(range(32)))
+    def test_matches_the_oracle(self, seq_id, tokens):
+        try:
+            check_token_sequence(seq_id, tokens)
+            expected = None
+        except CoreliteError as exc:
+            expected = str(exc)
+        try:
+            made = TokenSequence(seq_id, tokens)
+        except CoreliteError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert made.tokens == tuple(tokens) and type(made.tokens) is tuple
+
+    def test_int_subclass_tokens_pass(self):
+        # Not a JSON type, so the C-level check falls back to the per-token one.
+        class Id(int):
+            pass
+
+        assert TokenSequence("a", [Id(5)] * 32).tokens == (5,) * 32
 
 
 class TestJsonlRecords:
@@ -218,7 +277,7 @@ class TestJsonlRecords:
         p = tmp_path / "c.jsonl"
         p.write_text(json.dumps({"id": 7, field: value}) + "\n")
         with pytest.raises(CoreliteError, match="line 1: id must be a string"):
-            loader(p)
+            list(loader(p))
 
     @pytest.mark.parametrize("loader,field,value", LOADERS)
     def test_non_utf8_names_line(self, tmp_path, loader, field, value):
@@ -226,14 +285,14 @@ class TestJsonlRecords:
         good = json.dumps({"id": "a", field: value}).encode()
         p.write_bytes(good + b"\n" + b'{"id": "b\xff"}\n')
         with pytest.raises(CoreliteError, match="line 2: invalid UTF-8"):
-            loader(p)
+            list(loader(p))
 
     @pytest.mark.parametrize("loader,field,value", LOADERS)
     def test_non_object_record_rejected(self, tmp_path, loader, field, value):
         p = tmp_path / "c.jsonl"
         p.write_text('"id and text"\n')
         with pytest.raises(CoreliteError, match="line 1: expected a JSON object"):
-            loader(p)
+            list(loader(p))
 
     @pytest.mark.parametrize("loader,field,value", LOADERS)
     def test_crlf_and_blank_lines(self, tmp_path, loader, field, value):

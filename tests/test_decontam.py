@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corelite import CoreliteError, decontam
-from corelite.corpus import TextDocument, TokenSequence, tokenize_text
+from corelite.corpus import TextDocument, TokenSequence, load_token_corpus, tokenize_text
 from corelite.decontam import (
     ContaminationCategory,
     InstanceOverlap,
@@ -606,6 +606,29 @@ class TestSerialization:
             load_index(path)
         assert str(exc.value) == f"{path}: index keys must be distinct, counts above 0"
 
+    @pytest.mark.parametrize("kind,hashed", [("text", True), ("image", False),
+                                             ("image", True)],
+                             ids=["text-hashed", "image-exact", "image-hashed"])
+    def test_repeated_trailer_key_rejected(self, tmp_path, kind, hashed):
+        # A set would drop the repeat, so the index would hold fewer keys than
+        # its trailer says and save back to other bytes.
+        if kind == "text":
+            index, width, entry = self._text_index(hashed=True), 8, 16
+        else:
+            images = [seq(f"s{i}", range(i, i + 32)) for i in range(3)]
+            index = build_image_index(images, hashed=hashed)
+            width, entry = (8, 16) if hashed else (4 * 32, 4 * 8 + 8)
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        data = bytearray(path.read_bytes())
+        keys = 22 + len(index.table) * entry + 8  # past the entries and the count
+        assert struct.unpack_from("<Q", data, keys - 8)[0] >= 2
+        data[keys + width : keys + 2 * width] = data[keys : keys + width]
+        path.write_bytes(data)
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path)
+        assert str(exc.value) == f"{path}: trailer keys must be distinct"
+
     @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
     def test_image_freq_threshold_not_zero_rejected(self, tmp_path, hashed):
         path, data, _ = self._two_entries(tmp_path, "image", hashed)
@@ -876,6 +899,34 @@ class TestStreamedSave:
             texts = [doc(f"t{i}", words(40, f"g{i}")) for i in range(80)]
             self._check(build_text_index(texts, hashed=True), tmp_path_factory)
 
+    @pytest.mark.parametrize("firsts", [range(256), range(0, 256, 5)],
+                             ids=["every-bucket", "some-empty"])
+    @pytest.mark.parametrize("kind,hashed", [("text", True), ("image", False),
+                                             ("image", True)],
+                             ids=["text-hashed", "image-exact", "image-hashed"])
+    def test_fixed_width_buckets(self, tmp_path_factory, kind, hashed, firsts):
+        # Three keys for each first file byte in `firsts`, random above it, so
+        # hashes sort by value in another order than by little-endian bytes.
+        rng = random.Random(len(firsts))
+
+        def key(first, tokens):
+            if hashed:
+                return first | rng.getrandbits(56) << 8
+            return bytes([first]) + rng.randbytes(4 * tokens - 1)
+
+        table = {key(b, 8): rng.randrange(1, 2**64) for b in firsts for _ in range(3)}
+        if kind == "text":
+            tokens = [rng.getrandbits(64) for _ in range(20)]
+            index = decontam._text_index(8, 3, True, table, tokens)
+        else:
+            exact = frozenset(key(b, 32) for b in firsts for _ in range(3))
+            index = decontam.ImageNGramIndex(8, hashed, table, exact)
+        packed = [struct.pack("<Q", k) if hashed else k for k in table]
+        assert {p[0] for p in packed} == set(firsts)
+        if hashed:
+            assert sorted(table) != sorted(table, key=lambda k: struct.pack("<Q", k))
+        self._check(index, tmp_path_factory)
+
 
 class TestGoldenNGI1:
     """NGI1 bytes for every (kind, hashed) pair, pinned by SHA-256.
@@ -1073,6 +1124,34 @@ class TestPeakMemory:
         keys = sys.getsizeof(sorted(index.table))
         chunk = 1024 * (sys.getsizeof(bytes(40)) + 8 + 3 * 40)
         assert peak - current < 1.5 * keys + chunk + 64 * 1024
+
+    def test_hashed_image_save_holds_one_reference_per_key(self, tmp_path):
+        rng = random.Random(2)
+        train = [seq(f"i{i}", [rng.randrange(2**32) for _ in range(32)])
+                 for i in range(1000)]
+        index = build_image_index(train, hashed=True)
+        _, current, peak = _traced(save_index, index, tmp_path / "idx.bin")
+        # 256 buckets of references to the table's keys (a list grows by up
+        # to 1/8), then one bucket's packed records, sorted and joined: not
+        # a new object per key.
+        refs = sys.getsizeof(list(index.table))
+        assert peak - current < 1.5 * refs + 64 * 1024
+
+    @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
+    def test_streamed_image_build_holds_no_corpus(self, tmp_path, hashed):
+        rng = random.Random(4)
+        path = tmp_path / "train.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": f"i{i}", "tokens": [rng.randrange(2**32) for _ in range(32)]})
+            + "\n" for i in range(2000)
+        ))
+        _, corpus, _ = _traced(lambda: list(load_token_corpus(path)))
+        index, current, peak = _traced(
+            lambda: build_image_index(load_token_corpus(path), hashed=hashed)
+        )
+        # The table's last resize holds its old storage (half the new) beside
+        # it, and a hashed build one batch of windows and their lanes.
+        assert peak - current < 0.5 * sys.getsizeof(index.table) + 1024 * 1024 < corpus
 
     @pytest.mark.parametrize("kind", ["text", "image"])
     def test_exact_build_holds_one_table(self, kind):

@@ -29,15 +29,14 @@ import struct
 from collections import Counter, _count_elements  # Counter.update's C loop
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import itemgetter
-from typing import Iterable, NoReturn
+from operator import ge, itemgetter, lt
+from typing import Iterable, NamedTuple, NoReturn
 
 from . import CoreliteError
 from .corpus import (
     IMAGE_TOKEN_LEN,
     TextDocument,
     TokenSequence,
-    _Memo,
     tokenize_text,
     write_atomic,
 )
@@ -56,6 +55,7 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _IMAGE_IDS = struct.Struct(f"<{IMAGE_TOKEN_LEN}I")
 _READ_SIZE = 1 << 20  # bytes load_index reads at a time
+_CHECK_ROWS = 1024  # entries or trailer keys load_index reads and checks together
 
 
 def fnv1a64_many(keys: list[bytes]) -> list[int]:
@@ -263,9 +263,8 @@ def _text_windows(encoded: list[bytes], n: int) -> list[bytes]:
 
 def _encoded_texts(pairs, n: int):
     """((item, token encodings), n-gram windows) per (item, text) of `pairs`."""
-    encode = _Memo(_text_token_bytes).__getitem__
     for item, text in pairs:
-        encoded = list(map(encode, tokenize_text(text)))
+        encoded = list(map(_text_token_bytes, tokenize_text(text)))
         yield (item, encoded), _text_windows(encoded, n)
 
 
@@ -327,10 +326,31 @@ def build_text_index(
     return _text_index(n, freq_threshold, hashed, table, token_keys)
 
 
+def key_text_bench(bench: list[TextDocument], n: int, hashed: bool) -> list:
+    """((id, token encodings), window keys) per benchmark document, in order.
+
+    A text scan's keys, computed once: `bench_keys` of the result is the
+    `keep` set of a load that holds only what the scan can look up, and
+    `scan_text(..., keyed=...)` scans with the same keys.
+    """
+    return list(_keyed(_encoded_texts(((d.id, d.text) for d in bench), n), hashed))
+
+
+def key_image_bench(bench: list[TokenSequence], n: int, hashed: bool) -> list:
+    """(id, keys) per benchmark sequence: its windows', then the whole sequence's."""
+    return list(_keyed(_encoded_images(bench, n), hashed))
+
+
+def bench_keys(keyed: list) -> set:
+    """Every key of a keyed benchmark: the table keys its scan can look up."""
+    return set(chain.from_iterable(keys for _, keys in keyed))
+
+
 def scan_text(
     bench: list[TextDocument],
     index: TextNGramIndex,
     ratio_threshold: float = 0.75,
+    keyed: list | None = None,
 ) -> OverlapReport:
     """Flag benchmark documents sharing a qualifying n-gram with training data.
 
@@ -338,17 +358,19 @@ def scan_text(
     itself meaningless, and its overlap ratio, the share of its n tokens
     flagged as meaningless tokens (once per document), is below
     `ratio_threshold`: a finite value above 0 (no ratio is below 0); above 1
-    turns the filter off.
+    turns the filter off. `keyed` is `key_text_bench(bench, ...)` in the
+    index's n and mode, if the caller has it already.
     """
     if math.isnan(ratio_threshold):
         raise CoreliteError("ratio_threshold must not be NaN")
     if not 0 < ratio_threshold < math.inf:
         raise CoreliteError("ratio_threshold must be finite and above 0")
     n, table, meaningless = index.n, index.table, index.meaningless
-    docs = _encoded_texts(((doc.id, doc.text) for doc in bench), n)
+    if keyed is None:
+        keyed = key_text_bench(bench, n, index.hashed)
     per_instance: dict[str, InstanceOverlap] = {}
     hits = []
-    for (doc_id, tokens), keys in _keyed(docs, index.hashed):
+    for (doc_id, tokens), keys in keyed:
         starts = [p for p, k in enumerate(keys) if k in table and k not in meaningless]
         if starts:
             token_keys = _token_keys(tokens, index.hashed)
@@ -378,13 +400,21 @@ def build_image_index(
     return ImageNGramIndex(n, hashed, table, frozenset(exact))
 
 
-def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapReport:
-    """Flag benchmark sequences whose windows (or whole sequence) hit the index."""
+def scan_image(
+    bench: list[TokenSequence], index: ImageNGramIndex, keyed: list | None = None
+) -> OverlapReport:
+    """Flag benchmark sequences whose windows (or whole sequence) hit the index.
+
+    `keyed` is `key_image_bench(bench, ...)` in the index's n and mode, if
+    the caller has it already.
+    """
+    if keyed is None:
+        keyed = key_image_bench(bench, index.n, index.hashed)
     per_instance: dict[str, InstanceOverlap] = {}
     hits = []
-    for seq_id, keys in _keyed(_encoded_images(bench, index.n), index.hashed):
-        exact = keys.pop() in index.exact_sequences  # the whole sequence
-        matched = sum(1 for key in keys if key in index.table)
+    for seq_id, keys in keyed:
+        exact = keys[-1] in index.exact_sequences  # the whole sequence
+        matched = sum(map(index.table.__contains__, islice(keys, len(keys) - 1)))
         if exact and not matched:
             raise CoreliteError(
                 f"sequence {seq_id!r} is indexed whole but none of its windows is"
@@ -405,8 +435,9 @@ def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapRep
 # byte length, then per token a u32 byte length and its UTF-8. Trailers:
 # image indexes store a u64 count and the exact-sequence keys; hashed text
 # indexes a u64 count and the u64 meaningless-token hashes; exact text
-# indexes nothing, as their keys hold those tokens. Keys never repeat, in
-# the entries or in a trailer.
+# indexes nothing, as their keys hold those tokens. In the entries and in
+# each trailer, keys ascend strictly, and the reader checks this as it
+# streams.
 #
 # Sort orders make files byte-reproducible. Entries and image sequences sort
 # by key bytes (exact text: without the length prefix), so hashed keys sort
@@ -485,7 +516,7 @@ def save_index(index, path) -> None:
 
 
 class _Reader:
-    """An open NGI1 file past its magic, buffered about `_READ_SIZE` bytes at a time.
+    """An open NGI1 file past its header, buffered about `_READ_SIZE` bytes at a time.
 
     `data[off:]` holds the bytes read but not yet taken, and `left` counts the
     bytes of the file (its size at open) not yet read. A read never asks for
@@ -532,50 +563,53 @@ class _Reader:
     def take(self, fmt: str):
         return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
 
-    def text_table(self, n: int) -> dict:
+    def text_table(self, n: int):
         """A u64 count, then that many length-prefixed exact text keys and counts.
 
-        Each key is checked in one walk over its n token lengths. ASCII bytes
-        are valid UTF-8 as they stand, so only a key that is not all ASCII (a
-        multi-byte token, a length byte of 0x80 or more) decodes each token as
-        the walk passes it. Only a key that fails goes through `_split_words`,
-        which names the first fault. The buffer is refilled only where a field
-        runs past its end.
+        Yields (keys, counts) lists of up to `_CHECK_ROWS` entries, in file
+        order. Each key is checked in one walk over its n token lengths. ASCII
+        bytes are valid UTF-8 as they stand, so only a key that is not all
+        ASCII (a multi-byte token, a length byte of 0x80 or more) decodes each
+        token as the walk passes it. Only a key that fails goes through
+        `_split_words`, which names the first fault. The buffer is refilled
+        only where a field runs past its end.
         """
-        (count,) = self.take("<Q")
+        (total,) = self.take("<Q")
         data, off, size = self.data, self.off, len(self.data)
         u32, u64 = _U32.unpack_from, _U64.unpack_from
         steps = range(n)
-        table = {}
-        for _ in range(count):
-            if off + 4 > size:
-                data, off, size = self.refill(off, 4)
-            start = off + 4
-            off = start + u32(data, off)[0]
-            if off > size:
-                off -= start  # the key's length
-                data, start, size = self.refill(start, off)
-            key = data[start:off]
-            pos = 0
-            try:
-                if key.isascii():
-                    for _ in steps:
-                        pos += 4 + u32(key, pos)[0]
-                else:
-                    for _ in steps:
-                        end = pos + 4 + u32(key, pos)[0]
-                        key[pos + 4 : end].decode("utf-8")
-                        pos = end
-            except (struct.error, UnicodeDecodeError):
-                pos = -1
-            if pos != len(key):
-                self.bad_text_key(key, n)
-            if off + 8 > size:
-                data, off, size = self.refill(off, 8)
-            (table[key],) = u64(data, off)
-            off += 8
+        for lo in range(0, total, _CHECK_ROWS):
+            keys, counts = [], []
+            for _ in range(min(_CHECK_ROWS, total - lo)):
+                if off + 4 > size:
+                    data, off, size = self.refill(off, 4)
+                start = off + 4
+                off = start + u32(data, off)[0]
+                if off > size:
+                    off -= start  # the key's length
+                    data, start, size = self.refill(start, off)
+                key = data[start:off]
+                pos = 0
+                try:
+                    if key.isascii():
+                        for _ in steps:
+                            pos += 4 + u32(key, pos)[0]
+                    else:
+                        for _ in steps:
+                            end = pos + 4 + u32(key, pos)[0]
+                            key[pos + 4 : end].decode("utf-8")
+                            pos = end
+                except (struct.error, UnicodeDecodeError):
+                    pos = -1
+                if pos != len(key):
+                    self.bad_text_key(key, n)
+                if off + 8 > size:
+                    data, off, size = self.refill(off, 8)
+                keys.append(key)
+                counts.append(u64(data, off)[0])
+                off += 8
+            yield keys, counts
         self.off = off
-        return table
 
     def bad_text_key(self, key: bytes, n: int) -> NoReturn:
         # The key failed the walk, so `_split_words` raises or counts other than n.
@@ -586,71 +620,138 @@ class _Reader:
         raise CoreliteError(f"{self.path}: text key of {tokens} tokens, expected {n}")
 
     def records(self, fmt: str):
-        """A u64 count, then that many fixed-width `fmt` records, unpacked."""
-        (count,) = self.take("<Q")
-        record = struct.Struct(f"<{fmt}")
-        views = self.views(count, record.size)
-        return chain.from_iterable(map(record.iter_unpack, views))
+        """A u64 count, then that many fixed-width `fmt` records.
 
-    def key_set(self, fmt: str) -> frozenset:
-        """A trailer: a u64 count, then that many different fixed-width `fmt` keys."""
-        (count,) = self.take("<Q")
-        self.off -= 8  # step back: `records` takes the count itself
-        keys = frozenset(chain.from_iterable(self.records(fmt)))
-        if len(keys) != count:
-            raise CoreliteError(f"{self.path}: trailer keys must be distinct")
-        return keys
+        Yields (keys, counts) per view of up to `_CHECK_ROWS` records; counts
+        are () where `fmt` is a key alone.
+        """
+        (total,) = self.take("<Q")
+        record = struct.Struct(f"<{fmt}")
+        for view in self.views(total, record.size):
+            keys, *counts = zip(*record.iter_unpack(view))
+            yield keys, counts[0] if counts else ()
+
+    def checked(self, batches, order, distinct: str):
+        """The (keys, counts) `batches` of a file region, checked as they pass.
+
+        Keys must ascend strictly by `order` (the key, or the bytes of its
+        file form) and counts be above 0, checked a batch at a time in
+        C-level passes, so no load holds every key to check it. The first
+        fault is raised once the region is read, so a truncated file or a
+        bad key later in it is reported first.
+        """
+        fault, last = None, []
+        for keys, counts in batches:
+            seq = last + list(keys if order is None else map(order, keys))
+            if fault is None:
+                if not all(map(lt, seq, islice(seq, 1, None))):
+                    pos = next(compress(count(), map(ge, seq, islice(seq, 1, None))))
+                    fault = distinct if seq[pos] == seq[pos + 1] else "keys out of order"
+                elif 0 in counts:
+                    fault = distinct
+            last = seq[-1:]
+            yield keys, counts
+        if fault:
+            raise CoreliteError(f"{self.path}: {fault}")
+
+    def trailer(self, fmt: str, order, keep=None) -> frozenset:
+        """A u64 count, then that many fixed-width `fmt` keys: those in `keep`."""
+        batches = self.checked(self.records(fmt), order, "trailer keys must be distinct")
+        keys = chain.from_iterable(keys for keys, _ in batches)
+        return frozenset(keys if keep is None else filter(keep.__contains__, keys))
 
     def views(self, count: int, size: int):
-        """Views of `count` records of `size` bytes, each view all that is buffered."""
+        """Views of `count` records of `size` bytes, up to `_CHECK_ROWS` at a time."""
         while count:
             if len(self.data) - self.off < size:
                 self.refill(self.off, size)
-            whole = min(count, (len(self.data) - self.off) // size)
+            whole = min(count, _CHECK_ROWS, (len(self.data) - self.off) // size)
             end = self.off + whole * size
             yield memoryview(self.data)[self.off : end]
             self.off, count = end, count - whole
 
 
-def load_index(path):
+class IndexHeader(NamedTuple):
+    """What an NGI1 file holds, from its header."""
+
+    text: bool  # a text index, or an image index
+    n: int
+    freq_threshold: int
+    hashed: bool
+
+
+def _header(fh, path) -> IndexHeader:
+    """Read an open NGI1 file's header, checking all but its freq_threshold."""
+    if fh.read(len(NGI_MAGIC)) != NGI_MAGIC:
+        raise CoreliteError(f"{path}: bad magic, expected {NGI_MAGIC!r}")
+    raw = fh.read(10)
+    if len(raw) < 10:
+        raise CoreliteError(f"{path}: truncated index file")
+    version, n, freq, kind, hashed = struct.unpack("<HHIBB", raw)
+    if version != NGI_VERSION:
+        raise CoreliteError(f"{path}: unsupported index version {version}")
+    if kind not in _MAX_N or hashed not in (0, 1):
+        raise CoreliteError(f"{path}: unknown index kind {kind} or hashed flag {hashed}")
+    _check_n(kind, n, f"{path}: ")
+    return IndexHeader(kind == _KIND_TEXT, n, freq, bool(hashed))
+
+
+def _check_header_freq(header: IndexHeader, path) -> None:
+    if header.text:
+        _check_freq(header.freq_threshold, f"{path}: ")
+    elif header.freq_threshold:
+        raise CoreliteError(
+            f"{path}: image index freq_threshold is {header.freq_threshold}, not 0"
+        )
+
+
+def read_header(path) -> IndexHeader:
+    """An NGI1 file's checked header; nothing past it is read."""
+    with open(path, "rb") as fh:
+        header = _header(fh, path)
+    _check_header_freq(header, path)
+    return header
+
+
+def load_index(path, keep: set | None = None):
     """Read an NGI1 index file; returns a TextNGramIndex or ImageNGramIndex.
 
     The file is read about `_READ_SIZE` (1 MiB) at a time, so a load holds the
     index it builds and not the file beside it. A pipe is read whole.
+
+    With `keep`, a set of table keys (exact bytes, or hashes in a hashed
+    index), every entry is still read and checked, but the table holds only
+    the keys in `keep` and, in a text index, the meaningless keys, and
+    `exact_sequences` only those in `keep`. A scan that loads with its own
+    keys (`bench_keys`) holds what it can look up and reports what a full
+    load would. A filtered load rejects exactly the files a full load does.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(NGI_MAGIC)) != NGI_MAGIC:
-            raise CoreliteError(f"{path}: bad magic, expected {NGI_MAGIC!r}")
+        header = text, n, freq, hashed = _header(fh, path)
         r = _Reader(fh if fh.seekable() else io.BytesIO(fh.read()), path)
-        version, n, freq, kind, hashed = r.take("<HHIBB")
-        if version != NGI_VERSION:
-            raise CoreliteError(f"{path}: unsupported index version {version}")
-        if kind not in _MAX_N or hashed not in (0, 1):
-            raise CoreliteError(
-                f"{path}: unknown index kind {kind} or hashed flag {hashed}"
-            )
-        _check_n(kind, n, f"{path}: ")
-        hashed = bool(hashed)
-
-        (entries,) = r.take("<Q")
-        r.off -= 8  # step back: the table readers take the count themselves
-        if kind == _KIND_TEXT and not hashed:
-            table = r.text_table(n)
+        order = _U64.pack if hashed else None  # hashed keys sort as packed bytes
+        if text and not hashed:
+            batches = r.text_table(n)
         else:
-            table = dict(r.records(f"{_key_format(hashed, n)}Q"))
-        if len(table) != entries or 0 in table.values():
-            raise CoreliteError(f"{path}: index keys must be distinct, counts above 0")
-        if kind == _KIND_TEXT:
-            _check_freq(freq, f"{path}: ")
-            # The hashed-text trailer holds the u64 meaningless-token hashes.
-            tokens = r.key_set("Q") if hashed else None
+            batches = r.records(f"{_key_format(hashed, n)}Q")
+        table = {}
+        # A key counted above `floor` stays whatever `keep` holds: a text
+        # index's meaningless keys, and in an image index none (u64 counts).
+        floor = freq if text else 2**64
+        distinct = "index keys must be distinct, counts above 0"
+        for keys, counts in r.checked(batches, order, distinct):
+            rows = zip(keys, counts)
+            if keep is not None:
+                rows = [(k, c) for k, c in rows if k in keep or c > floor]
+            table.update(rows)
+        _check_header_freq(header, path)
+        if text:
+            # The hashed-text trailer holds the u64 meaningless-token hashes,
+            # sorted by value; a scan may look up any of them.
+            tokens = r.trailer("Q", None) if hashed else None
             index = _text_index(n, freq, hashed, table, tokens)
         else:
-            if freq:
-                raise CoreliteError(
-                    f"{path}: image index freq_threshold is {freq}, not 0"
-                )
-            exact = r.key_set(_key_format(hashed, IMAGE_TOKEN_LEN))
+            exact = r.trailer(_key_format(hashed, IMAGE_TOKEN_LEN), order, keep)
             index = ImageNGramIndex(n, hashed, table, exact)
         if r.off != len(r.data) or r.fh.read(1):  # left in the buffer, or unread
             raise CoreliteError(f"{path}: trailing bytes in index file")

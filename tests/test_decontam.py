@@ -629,6 +629,64 @@ class TestSerialization:
             load_index(path)
         assert str(exc.value) == f"{path}: trailer keys must be distinct"
 
+    @pytest.mark.parametrize("kept", ["all", "none", "faulted", "others"])
+    @pytest.mark.parametrize("fault", ["repeated-key", "count-zero", "out-of-order"])
+    @pytest.mark.parametrize("kind,hashed", sorted(ENTRY_SIZE))
+    def test_bad_entry_rejected_whatever_is_kept(self, tmp_path, kind, hashed, fault,
+                                                 kept):
+        # The first two entries in file order: a repeat of the first, a count
+        # of 0 in the first, or the two swapped. A filtered load reads and
+        # checks every entry, so a kept entry fails as an unkept one does.
+        path, data, size = self._two_entries(tmp_path, kind, hashed)
+        in_file_order = sorted(load_index(path).table,
+                               key=lambda k: struct.pack("<Q", k) if hashed else k)
+        first = bytes(data[22 : 22 + size])
+        second = bytes(data[22 + size : 22 + 2 * size])
+        if fault == "repeated-key":
+            data[22 + size : 22 + 2 * size] = first
+        elif fault == "count-zero":
+            data[22 + size - 8 : 22 + size] = bytes(8)
+        else:
+            data[22 : 22 + 2 * size] = second + first
+        path.write_bytes(data)
+        faulted = set(in_file_order[:2])
+        keep = {"all": None, "none": set(), "faulted": faulted,
+                "others": set(in_file_order[2:])}[kept]
+        message = ("keys out of order" if fault == "out-of-order"
+                   else "index keys must be distinct, counts above 0")
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path, keep)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("kept", ["all", "none"])
+    @pytest.mark.parametrize("fault", ["repeated-key", "out-of-order"])
+    @pytest.mark.parametrize("kind,hashed", [("text", True), ("image", False),
+                                             ("image", True)],
+                             ids=["text-hashed", "image-exact", "image-hashed"])
+    def test_bad_trailer_rejected_whatever_is_kept(self, tmp_path, kind, hashed,
+                                                   fault, kept):
+        if kind == "text":
+            index, width, entry = self._text_index(hashed=True), 8, 16
+        else:
+            images = [seq(f"s{i}", range(i, i + 32)) for i in range(3)]
+            index = build_image_index(images, hashed=hashed)
+            width, entry = (8, 16) if hashed else (4 * 32, 4 * 8 + 8)
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        data = bytearray(path.read_bytes())
+        keys = 22 + len(index.table) * entry + 8  # past the entries and the count
+        first = bytes(data[keys : keys + width])
+        second = bytes(data[keys + width : keys + 2 * width])
+        data[keys : keys + 2 * width] = (
+            first + first if fault == "repeated-key" else second + first
+        )
+        path.write_bytes(data)
+        message = ("keys out of order" if fault == "out-of-order"
+                   else "trailer keys must be distinct")
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path, None if kept == "all" else set())
+        assert str(exc.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
     def test_image_freq_threshold_not_zero_rejected(self, tmp_path, hashed):
         path, data, _ = self._two_entries(tmp_path, "image", hashed)
@@ -719,9 +777,12 @@ class TestForgedHeaders:
 
 
 def text_table_oracle(self, n):
-    """The per-key `_split_words` loop that `_Reader.text_table` replaced."""
+    """The per-key `_split_words` loop that `_Reader.text_table` replaced.
+
+    It yields every entry in one (keys, counts) batch.
+    """
     (count,) = self.take("<Q")
-    table = {}
+    keys, counts = [], []
     raw = self.raw
     for _ in range(count):
         key = raw(struct.unpack("<I", raw(4))[0])
@@ -733,8 +794,9 @@ def text_table_oracle(self, n):
             raise CoreliteError(
                 f"{self.path}: text key of {tokens} tokens, expected {n}"
             )
-        (table[key],) = struct.unpack("<Q", raw(8))
-    return table
+        keys.append(key)
+        counts.append(struct.unpack("<Q", raw(8))[0])
+    yield keys, counts
 
 
 def _load_outcome(path, text_table):
@@ -773,11 +835,12 @@ class TestFastTextReader:
     @given(data=st.data())
     def test_matches_split_words_oracle(self, ngi_dir, data):
         n = data.draw(st.integers(1, 4), label="n")
-        # Distinct grams: a file that repeats a key is rejected after its table.
+        # Distinct grams, written in key order: a file whose keys repeat or
+        # descend is rejected after its table.
         grams = data.draw(st.lists(st.lists(_TOKENS, min_size=n, max_size=n),
                                    min_size=1, max_size=6, unique_by=tuple),
                           label="grams")
-        keys = [[token_key(t) for t in gram] for gram in grams]
+        keys = sorted(([token_key(t) for t in gram] for gram in grams), key=b"".join)
         counts = data.draw(st.lists(st.integers(1, 20), min_size=len(keys),
                                     max_size=len(keys)), label="counts")
         fault = data.draw(st.sampled_from(_FAULTS), label="fault")
@@ -1046,6 +1109,75 @@ class TestSmallReads:
         assert str(exc.value) == f"{path}: trailing bytes in index file"
 
 
+class TestFilteredLoad:
+    """`load_index(path, keep)` is the full load restricted to `keep`."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        corpus=st.lists(st.lists(st.sampled_from(TestStreamedSave.WORDS), max_size=12),
+                        max_size=6),
+        copies=st.integers(1, 3),
+        n=st.integers(1, 4),
+        kind=st.sampled_from(["text", "image"]),
+        hashed=st.booleans(),
+    )
+    def test_matches_the_full_load_restricted(self, ngi_dir, data, corpus, copies, n,
+                                              kind, hashed):
+        # Copies push text keys above the threshold (meaningless, always kept);
+        # image tokens come from the words' positions in the word list.
+        if kind == "text":
+            train = [doc(f"t{i}", " ".join(ws)) for i, ws in enumerate(corpus * copies)]
+            index = build_text_index(train, n=n, freq_threshold=2, hashed=hashed)
+            keys = set(index.table)
+        else:
+            tokens = [[TestStreamedSave.WORDS.index(w) for w in (ws * 32)[:32]]
+                      for ws in corpus if ws]
+            train = [seq(f"i{i}", t) for i, t in enumerate(tokens * copies)]
+            index = build_image_index(train, n=n, hashed=hashed)
+            keys = set(index.table) | index.exact_sequences
+        path = ngi_dir / "filtered.ngi"
+        save_index(index, path)
+        full = load_index(path)
+        assert full == index
+        # Keys of the index, and others it does not hold.
+        other = st.integers(0, 2**64 - 1) if hashed else st.binary(max_size=40)
+        keep = data.draw(st.sets(st.sampled_from(sorted(keys, key=repr)))
+                         if keys else st.just(set()), label="kept keys")
+        keep |= data.draw(st.sets(other, max_size=4), label="other keys")
+        got = load_index(path, keep)
+        if kind == "text":
+            table = {k: c for k, c in full.table.items()
+                     if k in keep or k in full.meaningless}
+            assert got == decontam.TextNGramIndex(
+                n, 2, hashed, table, full.meaningless, full.meaningless_tokens)
+        else:
+            table = {k: c for k, c in full.table.items() if k in keep}
+            assert got == decontam.ImageNGramIndex(
+                n, hashed, table, full.exact_sequences & keep)
+
+    @pytest.mark.parametrize("kind,hashed", KINDS, ids=KIND_IDS)
+    def test_scan_reports_as_with_the_full_load(self, tmp_path, kind, hashed):
+        path = tmp_path / "idx.bin"
+        save_index(_golden_index(kind, hashed), path)
+        if kind == "text":
+            bench = GOLDEN_TEXT[::2] + [doc("new", "please answer the following x")]
+            keyed = decontam.key_text_bench(bench, 8, hashed)
+            scan = scan_text
+        else:
+            bench = GOLDEN_IMAGES[::2] + [seq("new", range(32))]
+            keyed = decontam.key_image_bench(bench, 8, hashed)
+            scan = scan_image
+        index = load_index(path, decontam.bench_keys(keyed))
+        assert len(index.table) < len(load_index(path).table)
+        assert scan(bench, index, keyed=keyed) == scan(bench, load_index(path))
+
+
+@pytest.mark.usefixtures("small_reads")
+class TestFilteredLoadSmallReads(TestFilteredLoad):
+    """Filtered loads with keys, counts and trailers split across reads."""
+
+
 def _load_error_and_peak(path, text_table=_Reader.text_table):
     """load_index's error message and tracemalloc peak, with `text_table`."""
     tracemalloc.start()
@@ -1111,6 +1243,30 @@ class TestPeakMemory:
         assert len(index.table) == 400 * 53
         slack = 4 * read_size
         assert peak - current < slack < path.stat().st_size / 8
+
+    @pytest.mark.parametrize("kind,hashed", KINDS, ids=KIND_IDS)
+    def test_filtered_load_holds_what_a_scan_can_hit(self, tmp_path, kind, hashed):
+        # A scan of 10 documents keeps their keys and the meaningless ones:
+        # a small part of an index of about 20,000 keys.
+        rng = random.Random(6)
+        if kind == "text":
+            vocab = [f"w{i}" for i in range(3000)]
+            train = [doc(f"t{i}", " ".join(rng.choices(vocab, k=60))) for i in range(400)]
+            index = build_text_index(train, hashed=hashed)
+            keyed = decontam.key_text_bench(train[:5] + train[-5:], 8, hashed)
+        else:
+            train = [seq(f"i{i}", [rng.randrange(2**32) for _ in range(32)])
+                     for i in range(800)]
+            index = build_image_index(train, hashed=hashed)
+            keyed = decontam.key_image_bench(train[:5] + train[-5:], 8, hashed)
+        path = tmp_path / "idx.bin"
+        save_index(index, path)
+        keep = decontam.bench_keys(keyed)
+        with mock.patch.object(decontam, "_READ_SIZE", 64 * 1024):
+            full, _, full_peak = _traced(load_index, path)
+            kept, _, kept_peak = _traced(load_index, path, keep)
+        assert len(kept.table) <= len(keep) < len(full.table) / 20
+        assert kept_peak < full_peak / 2
 
     def test_exact_image_save_holds_sorted_keys_and_one_chunk(self, tmp_path):
         rng = random.Random(2)

@@ -8,8 +8,8 @@ reproduce byte-identical outputs. Every file is written atomically.
 Each command imports only what it runs. Only `select` and `correlate` load
 numpy; `gap`, `aggregate`, the n-gram commands and `--version` start
 without it. Only the four n-gram commands load `decontam`. A scan reads the
-index header, then the benchmark, and keys the benchmark once; it loads only
-the index entries those keys can hit (and the meaningless ones), so its
+index header, then the benchmark, then the rest of the index, keeping only
+the entries the benchmark's keys can hit (and the meaningless ones), so its
 memory follows the benchmark, not the training index. `hashlib` (and
 libcrypto with it) loads when the manifest's inputs are hashed, after the
 command has returned and its data is freed, so it never adds to a command's
@@ -138,15 +138,16 @@ def cmd_index_text(args) -> tuple[dict, dict]:
 def cmd_scan_text(args) -> tuple[dict, dict]:
     from . import decontam
 
-    header = decontam.read_header(args.index)
-    if not header.text:
-        raise CoreliteError(f"{args.index}: not a text index")
-    bench = list(load_text_corpus(args.bench))
-    keyed = decontam.key_text_bench(bench, header.n, header.hashed)
-    index = decontam.load_index(args.index, keep=decontam.bench_keys(keyed))
-    report = decontam.scan_text(
-        bench, index, ratio_threshold=args.ratio_threshold, keyed=keyed
-    )
+    bench = []
+
+    def keep(header):  # the header is checked before the bench is read
+        if not header.text:
+            raise CoreliteError(f"{args.index}: not a text index")
+        bench.extend(load_text_corpus(args.bench))
+        return decontam.scan_keys(bench, header)
+
+    index = decontam.load_index(args.index, keep)
+    report = decontam.scan_text(bench, index, ratio_threshold=args.ratio_threshold)
     _write_json(args.out, asdict(report))
     print(f"text_overlap_pct={report.text_overlap_pct}")
     params = {"ratio_threshold": args.ratio_threshold, "n": index.n}
@@ -165,14 +166,17 @@ def cmd_index_image(args) -> tuple[dict, dict]:
 def cmd_scan_image(args) -> tuple[dict, dict]:
     from . import decontam
 
-    header = decontam.read_header(args.index)
-    if header.text:
-        raise CoreliteError(f"{args.index}: not an image index")
-    bench = list(load_token_corpus(args.bench))
-    keyed = decontam.key_image_bench(bench, header.n, header.hashed)
-    index = decontam.load_index(args.index, keep=decontam.bench_keys(keyed))
+    bench = []
+
+    def keep(header):  # the header is checked before the bench is read
+        if header.text:
+            raise CoreliteError(f"{args.index}: not an image index")
+        bench.extend(load_token_corpus(args.bench))
+        return decontam.scan_keys(bench, header)
+
+    index = decontam.load_index(args.index, keep)
     try:  # the bench was checked as it loaded, so a fault here is the index's
-        report = decontam.scan_image(bench, index, keyed=keyed)
+        report = decontam.scan_image(bench, index)
     except CoreliteError as exc:
         raise CoreliteError(f"{args.index}: {exc}") from None
     _write_json(args.out, asdict(report))

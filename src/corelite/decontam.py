@@ -26,6 +26,7 @@ import io
 import math
 import os
 import struct
+from array import array
 from collections import Counter, _count_elements  # Counter.update's C loop
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -326,31 +327,10 @@ def build_text_index(
     return _text_index(n, freq_threshold, hashed, table, token_keys)
 
 
-def key_text_bench(bench: list[TextDocument], n: int, hashed: bool) -> list:
-    """((id, token encodings), window keys) per benchmark document, in order.
-
-    A text scan's keys, computed once: `bench_keys` of the result is the
-    `keep` set of a load that holds only what the scan can look up, and
-    `scan_text(..., keyed=...)` scans with the same keys.
-    """
-    return list(_keyed(_encoded_texts(((d.id, d.text) for d in bench), n), hashed))
-
-
-def key_image_bench(bench: list[TokenSequence], n: int, hashed: bool) -> list:
-    """(id, keys) per benchmark sequence: its windows', then the whole sequence's."""
-    return list(_keyed(_encoded_images(bench, n), hashed))
-
-
-def bench_keys(keyed: list) -> set:
-    """Every key of a keyed benchmark: the table keys its scan can look up."""
-    return set(chain.from_iterable(keys for _, keys in keyed))
-
-
 def scan_text(
     bench: list[TextDocument],
     index: TextNGramIndex,
     ratio_threshold: float = 0.75,
-    keyed: list | None = None,
 ) -> OverlapReport:
     """Flag benchmark documents sharing a qualifying n-gram with training data.
 
@@ -358,19 +338,17 @@ def scan_text(
     itself meaningless, and its overlap ratio, the share of its n tokens
     flagged as meaningless tokens (once per document), is below
     `ratio_threshold`: a finite value above 0 (no ratio is below 0); above 1
-    turns the filter off. `keyed` is `key_text_bench(bench, ...)` in the
-    index's n and mode, if the caller has it already.
+    turns the filter off.
     """
     if math.isnan(ratio_threshold):
         raise CoreliteError("ratio_threshold must not be NaN")
     if not 0 < ratio_threshold < math.inf:
         raise CoreliteError("ratio_threshold must be finite and above 0")
     n, table, meaningless = index.n, index.table, index.meaningless
-    if keyed is None:
-        keyed = key_text_bench(bench, n, index.hashed)
+    docs = _encoded_texts(((doc.id, doc.text) for doc in bench), n)
     per_instance: dict[str, InstanceOverlap] = {}
     hits = []
-    for (doc_id, tokens), keys in keyed:
+    for (doc_id, tokens), keys in _keyed(docs, index.hashed):
         starts = [p for p, k in enumerate(keys) if k in table and k not in meaningless]
         if starts:
             token_keys = _token_keys(tokens, index.hashed)
@@ -400,21 +378,13 @@ def build_image_index(
     return ImageNGramIndex(n, hashed, table, frozenset(exact))
 
 
-def scan_image(
-    bench: list[TokenSequence], index: ImageNGramIndex, keyed: list | None = None
-) -> OverlapReport:
-    """Flag benchmark sequences whose windows (or whole sequence) hit the index.
-
-    `keyed` is `key_image_bench(bench, ...)` in the index's n and mode, if
-    the caller has it already.
-    """
-    if keyed is None:
-        keyed = key_image_bench(bench, index.n, index.hashed)
+def scan_image(bench: list[TokenSequence], index: ImageNGramIndex) -> OverlapReport:
+    """Flag benchmark sequences whose windows (or whole sequence) hit the index."""
     per_instance: dict[str, InstanceOverlap] = {}
     hits = []
-    for seq_id, keys in keyed:
-        exact = keys[-1] in index.exact_sequences  # the whole sequence
-        matched = sum(map(index.table.__contains__, islice(keys, len(keys) - 1)))
+    for seq_id, keys in _keyed(_encoded_images(bench, index.n), index.hashed):
+        exact = keys.pop() in index.exact_sequences  # the whole sequence
+        matched = sum(1 for key in keys if key in index.table)
         if exact and not matched:
             raise CoreliteError(
                 f"sequence {seq_id!r} is indexed whole but none of its windows is"
@@ -623,26 +593,32 @@ class _Reader:
         """A u64 count, then that many fixed-width `fmt` records.
 
         Yields (keys, counts) per view of up to `_CHECK_ROWS` records; counts
-        are () where `fmt` is a key alone.
+        are () where `fmt` is a key alone. Hashed records are u64s alone, so
+        their keys and counts are C-level slices of one array of the view.
         """
         (total,) = self.take("<Q")
         record = struct.Struct(f"<{fmt}")
         for view in self.views(total, record.size):
-            keys, *counts = zip(*record.iter_unpack(view))
-            yield keys, counts[0] if counts else ()
+            if fmt[0] == "Q":  # a hash, then maybe a count
+                words = array("Q")
+                words.frombytes(view)
+                yield words[:: len(fmt)], words[1::2] if len(fmt) == 2 else ()
+            else:
+                keys, *counts = zip(*record.iter_unpack(view))
+                yield keys, counts[0] if counts else ()
 
     def checked(self, batches, order, distinct: str):
         """The (keys, counts) `batches` of a file region, checked as they pass.
 
-        Keys must ascend strictly by `order` (the key, or the bytes of its
-        file form) and counts be above 0, checked a batch at a time in
+        Keys must ascend strictly, as they are or as `order` maps a batch
+        of them, and counts be above 0, checked a batch at a time in
         C-level passes, so no load holds every key to check it. The first
         fault is raised once the region is read, so a truncated file or a
         bad key later in it is reported first.
         """
         fault, last = None, []
         for keys, counts in batches:
-            seq = last + list(keys if order is None else map(order, keys))
+            seq = last + (list(keys) if order is None else order(keys))
             if fault is None:
                 if not all(map(lt, seq, islice(seq, 1, None))):
                     pos = next(compress(count(), map(ge, seq, islice(seq, 1, None))))
@@ -669,6 +645,13 @@ class _Reader:
             end = self.off + whole * size
             yield memoryview(self.data)[self.off : end]
             self.off, count = end, count - whole
+
+
+def _byte_order(hashes: array) -> list[int]:
+    """u64 `hashes` byte-swapped: numbers that order as their file bytes do."""
+    swapped = hashes[:]
+    swapped.byteswap()  # the low byte, first in the file, becomes the high one
+    return swapped.tolist()
 
 
 class IndexHeader(NamedTuple):
@@ -705,31 +688,30 @@ def _check_header_freq(header: IndexHeader, path) -> None:
         )
 
 
-def read_header(path) -> IndexHeader:
-    """An NGI1 file's checked header; nothing past it is read."""
-    with open(path, "rb") as fh:
-        header = _header(fh, path)
-    _check_header_freq(header, path)
-    return header
-
-
-def load_index(path, keep: set | None = None):
+def load_index(path, keep=None):
     """Read an NGI1 index file; returns a TextNGramIndex or ImageNGramIndex.
 
     The file is read about `_READ_SIZE` (1 MiB) at a time, so a load holds the
     index it builds and not the file beside it. A pipe is read whole.
 
-    With `keep`, a set of table keys (exact bytes, or hashes in a hashed
-    index), every entry is still read and checked, but the table holds only
-    the keys in `keep` and, in a text index, the meaningless keys, and
-    `exact_sequences` only those in `keep`. A scan that loads with its own
-    keys (`bench_keys`) holds what it can look up and reports what a full
-    load would. A filtered load rejects exactly the files a full load does.
+    `keep`, if given, is called with the file's checked `IndexHeader` before
+    anything past it is read, and returns a set of table keys (exact bytes,
+    or hashes in a hashed index). Every entry is still read and checked, but
+    the table holds only the keys in that set and, in a text index, the
+    meaningless keys, and `exact_sequences` only those in the set. A scan
+    that keeps its benchmark's `scan_keys` holds what it can look up and
+    reports what a full load would. A filtered load rejects exactly the
+    files a full load does; it checks the header's freq_threshold before
+    calling `keep`, and a full load after the entries, so a file with more
+    than one fault may be named for another.
     """
     with open(path, "rb") as fh:
         header = text, n, freq, hashed = _header(fh, path)
+        if keep is not None:
+            _check_header_freq(header, path)
+            keep = keep(header)
         r = _Reader(fh if fh.seekable() else io.BytesIO(fh.read()), path)
-        order = _U64.pack if hashed else None  # hashed keys sort as packed bytes
+        order = _byte_order if hashed else None  # hashed keys sort as their bytes
         if text and not hashed:
             batches = r.text_table(n)
         else:
@@ -744,7 +726,8 @@ def load_index(path, keep: set | None = None):
             if keep is not None:
                 rows = [(k, c) for k, c in rows if k in keep or c > floor]
             table.update(rows)
-        _check_header_freq(header, path)
+        if keep is None:
+            _check_header_freq(header, path)
         if text:
             # The hashed-text trailer holds the u64 meaningless-token hashes,
             # sorted by value; a scan may look up any of them.
@@ -756,3 +739,16 @@ def load_index(path, keep: set | None = None):
         if r.off != len(r.data) or r.fh.read(1):  # left in the buffer, or unread
             raise CoreliteError(f"{path}: trailing bytes in index file")
     return index
+
+
+def scan_keys(bench, header: IndexHeader) -> set:
+    """The table keys a scan of `bench` can look up in an index with `header`.
+
+    A text bench's n-gram keys, or an image bench's window and whole-sequence
+    keys, in the index's n and mode: the set for `load_index`'s `keep`.
+    """
+    if header.text:
+        items = _encoded_texts(((doc.id, doc.text) for doc in bench), header.n)
+    else:
+        items = _encoded_images(bench, header.n)
+    return set(chain.from_iterable(keys for _, keys in _keyed(items, header.hashed)))

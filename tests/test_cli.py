@@ -236,6 +236,27 @@ class TestGap:
         assert rc == 1
 
 
+@contextlib.contextmanager
+def _piped(path):
+    """A /dev/fd path reading `path` through a pipe, as a shell's `<(cat path)`."""
+    with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
+        yield f"/dev/fd/{cat.stdout.fileno()}"
+
+
+def _scans_alike_from_a_pipe(tmp_path, command, idx, bench):
+    """`command` reports the same bytes with `idx` behind a pipe as from the file."""
+    reports = []
+    for name, index in (("file", contextlib.nullcontext(str(idx))), ("pipe", _piped(idx))):
+        with index as arg:
+            assert main([command, "--index", arg, "--bench", str(bench),
+                         "--report", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name).read_bytes())
+    assert reports[0] == reports[1]
+
+
+needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+
+
 class TestTextScan:
     def _corpora(self, tmp_path):
         train = write_jsonl(
@@ -326,6 +347,16 @@ class TestTextScan:
             reports.append((tmp_path / name).read_bytes())
         assert reports[0] == reports[1]
 
+    @needs_dev_fd
+    @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
+    def test_index_from_a_pipe(self, tmp_path, capsys, hashed):
+        train, bench = self._corpora(tmp_path)
+        idx = tmp_path / "idx.bin"
+        flag = ["--hashed"] if hashed else []
+        assert main(["index-text", "--train", str(train), "--out", str(idx), *flag]) == 0
+        _scans_alike_from_a_pipe(tmp_path, "scan-text", idx, bench)
+        assert capsys.readouterr().out.count("text_overlap_pct=50.0") == 2
+
 
 class TestImageScan:
     def _corpora(self, tmp_path):
@@ -379,6 +410,13 @@ class TestImageScan:
                    "--bench", str(tmp_path / "train.jsonl"),
                    "--report", str(tmp_path / "r.json")])
         assert rc == 1
+
+    @needs_dev_fd
+    def test_index_from_a_pipe(self, tmp_path, capsys):
+        train, bench = self._corpora(tmp_path)
+        idx = tmp_path / "idx.bin"
+        assert main(["index-image", "--train", str(train), "--out", str(idx)]) == 0
+        _scans_alike_from_a_pipe(tmp_path, "scan-image", idx, bench)
 
 
 class TestAggregateCorrelate:

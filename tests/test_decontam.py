@@ -655,7 +655,7 @@ class TestSerialization:
         message = ("keys out of order" if fault == "out-of-order"
                    else "index keys must be distinct, counts above 0")
         with pytest.raises(CoreliteError) as exc:
-            load_index(path, keep)
+            load_index(path, None if keep is None else lambda _: keep)
         assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("kept", ["all", "none"])
@@ -684,7 +684,7 @@ class TestSerialization:
         message = ("keys out of order" if fault == "out-of-order"
                    else "trailer keys must be distinct")
         with pytest.raises(CoreliteError) as exc:
-            load_index(path, None if kept == "all" else set())
+            load_index(path, None if kept == "all" else lambda _: set())
         assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
@@ -1110,7 +1110,7 @@ class TestSmallReads:
 
 
 class TestFilteredLoad:
-    """`load_index(path, keep)` is the full load restricted to `keep`."""
+    """`load_index(path, keep)` is the full load restricted to what `keep` returns."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1145,7 +1145,7 @@ class TestFilteredLoad:
         keep = data.draw(st.sets(st.sampled_from(sorted(keys, key=repr)))
                          if keys else st.just(set()), label="kept keys")
         keep |= data.draw(st.sets(other, max_size=4), label="other keys")
-        got = load_index(path, keep)
+        got = load_index(path, lambda _: keep)
         if kind == "text":
             table = {k: c for k, c in full.table.items()
                      if k in keep or k in full.meaningless}
@@ -1162,15 +1162,13 @@ class TestFilteredLoad:
         save_index(_golden_index(kind, hashed), path)
         if kind == "text":
             bench = GOLDEN_TEXT[::2] + [doc("new", "please answer the following x")]
-            keyed = decontam.key_text_bench(bench, 8, hashed)
             scan = scan_text
         else:
             bench = GOLDEN_IMAGES[::2] + [seq("new", range(32))]
-            keyed = decontam.key_image_bench(bench, 8, hashed)
             scan = scan_image
-        index = load_index(path, decontam.bench_keys(keyed))
+        index = load_index(path, lambda header: decontam.scan_keys(bench, header))
         assert len(index.table) < len(load_index(path).table)
-        assert scan(bench, index, keyed=keyed) == scan(bench, load_index(path))
+        assert scan(bench, index) == scan(bench, load_index(path))
 
 
 @pytest.mark.usefixtures("small_reads")
@@ -1253,19 +1251,18 @@ class TestPeakMemory:
             vocab = [f"w{i}" for i in range(3000)]
             train = [doc(f"t{i}", " ".join(rng.choices(vocab, k=60))) for i in range(400)]
             index = build_text_index(train, hashed=hashed)
-            keyed = decontam.key_text_bench(train[:5] + train[-5:], 8, hashed)
         else:
             train = [seq(f"i{i}", [rng.randrange(2**32) for _ in range(32)])
                      for i in range(800)]
             index = build_image_index(train, hashed=hashed)
-            keyed = decontam.key_image_bench(train[:5] + train[-5:], 8, hashed)
         path = tmp_path / "idx.bin"
         save_index(index, path)
-        keep = decontam.bench_keys(keyed)
+        bench = train[:5] + train[-5:]
         with mock.patch.object(decontam, "_READ_SIZE", 64 * 1024):
             full, _, full_peak = _traced(load_index, path)
-            kept, _, kept_peak = _traced(load_index, path, keep)
-        assert len(kept.table) <= len(keep) < len(full.table) / 20
+            kept, _, kept_peak = _traced(
+                load_index, path, lambda header: decontam.scan_keys(bench, header))
+        assert len(kept.table) < len(full.table) / 20
         assert kept_peak < full_peak / 2
 
     def test_exact_image_save_holds_sorted_keys_and_one_chunk(self, tmp_path):

@@ -89,8 +89,7 @@ def test_traced_text_pipeline(corpora, hashed):
     assert {
         ("decontam.load_index_text", "cli.scan-text"),
         ("decontam.scan_text", "cli.scan-text"),
-        # The bench is keyed before the load, which keeps only what it can hit.
-        ("corpus.tokenize_text", "cli.scan-text"),
+        ("corpus.tokenize_text", "decontam.scan_text"),
     } <= edges
     (scan,) = [s for s in spans if s["name"] == "decontam.scan_text"]
     assert scan["counts"]["windows_matched"] > 0

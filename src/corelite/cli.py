@@ -3,7 +3,8 @@
 Every subcommand writes its primary output and returns its resolved
 parameters and input paths; `main` then writes the run manifest (parameters,
 input digests, tool version) next to the output, so identical inputs
-reproduce byte-identical outputs. Every file is written atomically.
+reproduce byte-identical outputs. A pipe or other input that is not a regular
+file has been read by then, so its digest is null. Files are written atomically.
 
 Each command imports only what it runs. Only `select` and `correlate` load
 numpy; `gap`, `aggregate`, the n-gram commands and `--version` start
@@ -13,7 +14,7 @@ the entries the benchmark's keys can hit (and the meaningless ones), so its
 memory follows the benchmark, not the training index. `hashlib` (and
 libcrypto with it) loads when the manifest's inputs are hashed, after the
 command has returned and its data is freed, so it never adds to a command's
-peak memory, and `--version` never loads it.
+peak memory, and `--version` never loads it. No command loads `dataclasses`.
 
 Exit codes: 0 success, 1 data/content error, 2 usage error.
 """
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
-from dataclasses import asdict
 
 from . import CoreliteError, __version__
 from .corpus import (
@@ -37,7 +39,9 @@ from .corpus import (
 )
 
 
-def _sha256(path) -> str:
+def _sha256(path) -> str | None:
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None  # a pipe's bytes were consumed by the command
     import hashlib
 
     h = hashlib.sha256()
@@ -80,7 +84,7 @@ def cmd_select(args) -> tuple[dict, dict]:
     emb = load_embeddings(args.embeddings, args.ids, normalize=args.normalize)
     sel = coreset.k_center_greedy(emb, k, seed=args.seed)
     center_ids = [emb.ids[i] for i in sel.center_indices]
-    _write_json(args.out, {**asdict(sel), "center_ids": center_ids})
+    _write_json(args.out, {**sel._asdict(), "center_ids": center_ids})
     params = {"k": k, "seed": args.seed, "normalize": args.normalize, "metric": "l2"}
     return params, {"embeddings": args.embeddings, "ids": args.ids}
 
@@ -118,7 +122,7 @@ def cmd_gap(args) -> tuple[dict, dict]:
     except CoreliteError as exc:
         raise CoreliteError(f"{args.scores}: {exc}") from None
     sizes = {"subset_size": len(subset), "total": len(values)}
-    _write_json(args.out, {**asdict(gap), **sizes})
+    _write_json(args.out, {**gap._asdict(), **sizes})
     print(f"gap={gap.gap}")
     return {}, {"scores": args.scores, "selection": args.selection}
 
@@ -148,7 +152,7 @@ def cmd_scan_text(args) -> tuple[dict, dict]:
 
     index = decontam.load_index(args.index, keep)
     report = decontam.scan_text(bench, index, ratio_threshold=args.ratio_threshold)
-    _write_json(args.out, asdict(report))
+    _write_json(args.out, report._asdict())
     print(f"text_overlap_pct={report.text_overlap_pct}")
     params = {"ratio_threshold": args.ratio_threshold, "n": index.n}
     return params, {"index": args.index, "bench": args.bench}
@@ -179,7 +183,7 @@ def cmd_scan_image(args) -> tuple[dict, dict]:
         report = decontam.scan_image(bench, index)
     except CoreliteError as exc:
         raise CoreliteError(f"{args.index}: {exc}") from None
-    _write_json(args.out, asdict(report))
+    _write_json(args.out, report._asdict())
     print(f"image_overlap_pct={report.image_overlap_pct}")
     return {"n": index.n}, {"index": args.index, "bench": args.bench}
 
@@ -195,7 +199,7 @@ def cmd_aggregate(args) -> tuple[dict, dict]:
     except CoreliteError as exc:
         raise CoreliteError(f"{args.scores}: {exc}") from None
     per_model = {m: _sig6(v) for m, v in result.per_model.items()}
-    _write_json(args.out, {**asdict(result), "per_model": per_model})
+    _write_json(args.out, {**result._asdict(), "per_model": per_model})
     inputs = {"scores": args.scores}
     if args.scales:
         inputs["scales"] = args.scales
@@ -209,7 +213,7 @@ def cmd_correlate(args) -> tuple[dict, dict]:
     lite = load_scores(args.lite)
     result = scoring.correlate_lite(full, lite, method=args.method)
     per_dataset = {d: _sig6(r) for d, r in result.per_dataset.items()}
-    _write_json(args.out, {**asdict(result), "per_dataset": per_dataset})
+    _write_json(args.out, {**result._asdict(), "per_dataset": per_dataset})
     return {"method": args.method}, {"full": args.full, "lite": args.lite}
 
 

@@ -8,12 +8,11 @@ so `gap` starts without it: its means are plain Python in numpy's order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING
 
-from . import CoreliteError
+from . import CoreliteError, Record
 from .corpus import EmbeddingMatrix
 
 if TYPE_CHECKING:
@@ -39,17 +38,13 @@ LITE_K_DEFAULTS: dict[str, int] = {
 }
 
 
-@dataclass(frozen=True)
-class CoresetSelection:
+class CoresetSelection(Record):
     """Chosen centers in selection order, with provenance for reproducibility."""
 
-    center_indices: tuple[int, ...]
-    coverage_radius: float
-    k: int
-    seed: int
-    metric: str = "l2"
+    __slots__ = ("center_indices", "coverage_radius", "k", "seed", "metric")
+    _defaults = {"metric": lambda: "l2"}
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.center_indices) != self.k:
             raise CoreliteError("selection must contain exactly k centers")
         if len(set(self.center_indices)) != self.k:
@@ -58,11 +53,8 @@ class CoresetSelection:
             raise CoreliteError("coverage radius must be non-negative")
 
 
-@dataclass(frozen=True)
-class SubsetGap:
-    full_mean: float
-    subset_mean: float
-    gap: float
+class SubsetGap(Record):
+    __slots__ = ("full_mean", "subset_mean", "gap")
 
 
 def uniform_index(seed: int, n: int) -> int:

@@ -15,14 +15,10 @@ import os
 import re
 import struct
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
-from . import CoreliteError
-
-if TYPE_CHECKING:
-    import numpy as np
+from . import CoreliteError, Record
 
 EMB_MAGIC = b"EMB1"
 IMAGE_TOKEN_LEN = 32
@@ -103,23 +99,19 @@ def _check_id(record_id: str, kind: str) -> None:
         raise CoreliteError(f"{kind} id holds a lone surrogate") from None
 
 
-@dataclass(frozen=True)
-class TextDocument:
-    id: str
-    text: str
+class TextDocument(Record):
+    __slots__ = ("id", "text")
 
-    def __post_init__(self):
+    def _check(self):
         if not isinstance(self.text, str):
             raise CoreliteError("text must be a string")
         _check_id(self.id, "document")
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    id: str
-    tokens: tuple[int, ...]
+class TokenSequence(Record):
+    __slots__ = ("id", "tokens")  # tokens: a tuple of 32 ints
 
-    def __post_init__(self):
+    def _check(self):
         tokens, seq_id = self.tokens, self.id
         # The common case in C-level calls: exact ints in range, an ASCII id.
         if not (
@@ -151,18 +143,16 @@ class TokenSequence:
                 raise CoreliteError(f"id={self.id}: token id {t} out of range")
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
+class EmbeddingMatrix(Record):
     """Dense n x d float64 matrix of per-instance feature vectors with row ids.
 
     float32 data widens exactly; a C-contiguous float64 array is kept, not
     copied, and both become read-only.
     """
 
-    ids: tuple[str, ...]
-    data: np.ndarray  # float64, shape (n, d)
+    __slots__ = ("ids", "data")  # data: float64, shape (n, d)
 
-    def __post_init__(self):
+    def _check(self):
         import numpy as np
 
         arr = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -218,14 +208,13 @@ def _check_count(count: int) -> None:
         raise CoreliteError("count must be at most 2**53")
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(Record):
     """(model, dataset) -> recorded raw score, optionally with instance counts."""
 
-    entries: dict[tuple[str, str], float]
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    __slots__ = ("entries", "counts")
+    _defaults = {"counts": dict}
 
-    def __post_init__(self):
+    def _check(self):
         for fields, check in ((self.entries, _check_score), (self.counts, _check_count)):
             for key, value in fields.items():
                 try:
@@ -248,13 +237,12 @@ class ScoreTable:
         return sorted({d for _, d in self.entries})
 
 
-@dataclass(frozen=True)
-class ScaleSpec:
+class ScaleSpec(Record):
     """Per-dataset (min, max) float ranges: finite bounds, max - min positive and finite."""
 
-    scales: dict[str, tuple[float, float]]
+    __slots__ = ("scales",)
 
-    def __post_init__(self):
+    def _check(self):
         scales = {}
         for dataset, (lo, hi) in self.scales.items():
             where = f"scale for {dataset!r}: "

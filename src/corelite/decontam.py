@@ -15,8 +15,8 @@ body for both modes; only the keying helpers and the NGI1 layout differ.
 Hashed keys are computed about 2048 at a time by `fnv1a64_many`, one 128-bit
 lane per key in a single Python int (SWAR: each byte step is a few C-level
 big-int operations over every key at once). numpy would vectorize the same
-loop, but importing it costs a CLI process about 0.13 s and 13.6 MiB of RSS,
-more than the hashing it would save on a typical audit.
+loop, but its import costs a CLI process about 0.06 s (0.16 s when OpenBLAS is slow
+to start threads) and 13.6 MiB of RSS, more than it would save on a typical audit.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ import os
 import struct
 from array import array
 from collections import Counter, _count_elements  # Counter.update's C loop
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import ge, itemgetter, lt
 from typing import Iterable, NamedTuple, NoReturn
 
-from . import CoreliteError
+from . import CoreliteError, Record
 from .corpus import (
     IMAGE_TOKEN_LEN,
     TextDocument,
@@ -196,24 +195,16 @@ def categorize(text_hit: bool, image_hit: bool, exact_image: bool) -> Contaminat
     return ContaminationCategory.CLEAN
 
 
-@dataclass(frozen=True)
-class InstanceOverlap:
-    text_hit: bool
-    image_hit: bool
-    exact_image: bool
-    matched_windows: int
-    category: ContaminationCategory = field(init=False)
+class InstanceOverlap(Record):
+    __slots__ = ("text_hit", "image_hit", "exact_image", "matched_windows", "category")
 
-    def __post_init__(self):
-        category = categorize(self.text_hit, self.image_hit, self.exact_image)
-        object.__setattr__(self, "category", category)
+    def __init__(self, text_hit, image_hit, exact_image, matched_windows):
+        category = categorize(text_hit, image_hit, exact_image)
+        super().__init__(text_hit, image_hit, exact_image, matched_windows, category)
 
 
-@dataclass(frozen=True)
-class OverlapReport:
-    per_instance: dict[str, InstanceOverlap]
-    text_overlap_pct: float
-    image_overlap_pct: float
+class OverlapReport(Record):
+    __slots__ = ("per_instance", "text_overlap_pct", "image_overlap_pct")
 
 
 def _hit_pct(hits: list[bool]) -> float:
@@ -221,8 +212,7 @@ def _hit_pct(hits: list[bool]) -> float:
     return 100.0 * sum(hits) / len(hits) if hits else 0.0
 
 
-@dataclass(frozen=True)
-class TextNGramIndex:
+class TextNGramIndex(Record):
     """Counts of word n-grams in training data plus the meaningless-gram sets.
 
     A table key is the n-gram's NGI1 key bytes (per token a u32 byte length
@@ -231,16 +221,10 @@ class TextNGramIndex:
     holds the meaningless n-grams' token encodings, keyed the same way.
     """
 
-    n: int
-    freq_threshold: int
-    hashed: bool
-    table: dict
-    meaningless: frozenset
-    meaningless_tokens: frozenset
+    __slots__ = ("n", "freq_threshold", "hashed", "table", "meaningless", "meaningless_tokens")
 
 
-@dataclass(frozen=True)
-class ImageNGramIndex:
+class ImageNGramIndex(Record):
     """Counts of 8-token windows over 32-token image sequences.
 
     A table key is the window's NGI1 key bytes (n little-endian u32 ids), or
@@ -249,10 +233,7 @@ class ImageNGramIndex:
     is applied to images.
     """
 
-    n: int
-    hashed: bool
-    table: dict
-    exact_sequences: frozenset
+    __slots__ = ("n", "hashed", "table", "exact_sequences")
 
 
 def _text_windows(encoded: list[bytes], n: int) -> list[bytes]:

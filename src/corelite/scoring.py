@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from . import CoreliteError
+from . import CoreliteError, Record
 from .corpus import ScaleSpec, ScoreTable, read_json
 
 if TYPE_CHECKING:
@@ -57,18 +56,13 @@ def normalize_score(raw: float, scale: tuple[float, float]) -> float:
     return min(100.0, max(0.0, value))
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    per_model: dict[str, float]
-    weighting: str  # "unweighted" | "instance_weighted"
+class AggregateResult(Record):
+    __slots__ = ("per_model", "weighting")  # "unweighted" | "instance_weighted"
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    per_dataset: dict[str, float | None]
-    method: str  # "pearson" | "spearman"
-    sample_count: dict[str, int]
-    undefined_reason: dict[str, str] = field(default_factory=dict)
+class CorrelationResult(Record):
+    __slots__ = ("per_dataset", "method", "sample_count", "undefined_reason")
+    _defaults = {"undefined_reason": dict}  # method: "pearson" | "spearman"
 
 
 def aggregate(

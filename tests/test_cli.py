@@ -244,14 +244,25 @@ def _piped(path):
 
 
 def _scans_alike_from_a_pipe(tmp_path, command, idx, bench):
-    """`command` reports the same bytes with `idx` behind a pipe as from the file."""
-    reports = []
+    """`command` reports the same bytes with `idx` behind a pipe as from the file.
+
+    The manifests differ only in the index digest, which is null for the pipe:
+    its bytes are gone once the scan has read them.
+    """
+    reports, manifests = [], []
     for name, index in (("file", contextlib.nullcontext(str(idx))), ("pipe", _piped(idx))):
         with index as arg:
             assert main([command, "--index", arg, "--bench", str(bench),
                          "--report", str(tmp_path / name)]) == 0
         reports.append((tmp_path / name).read_bytes())
+        manifests.append(json.loads((tmp_path / f"{name}.manifest.json").read_text()))
     assert reports[0] == reports[1]
+    from_file, from_pipe = (m["input_digests"] for m in manifests)
+    assert from_file["index"] == hashlib.sha256(idx.read_bytes()).hexdigest()
+    assert from_pipe == {**from_file, "index": None}
+    for m in manifests:
+        del m["input_digests"]
+    assert manifests[0] == manifests[1]
 
 
 needs_dev_fd = pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -1205,6 +1216,29 @@ class TestNumpyStaysOut:
         (tmp_path / "inst.csv").write_text("model,dataset,score\nm,a,1\nm,b,0.5\n")
         (tmp_path / "sel.json").write_text(json.dumps({"center_ids": ["b"]}))
         assert _import_probe(tmp_path, argv) == [argv[0], numpy, False, False]
+
+
+def _imported(*args) -> set[str]:
+    """The modules a fresh interpreter imports to run `args`, from -X importtime."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "import corelite.cli, corelite.coreset"],
+    ["-c", "import corelite.cli, corelite.decontam"],
+    ["-c", "import corelite.cli, corelite.scoring"],
+    ["-m", "corelite.cli", "--version"],
+], ids=["coreset", "decontam", "scoring", "version"])
+def test_start_up_without_dataclasses(args):
+    """No module loads `dataclasses`, whose `inspect` (with `ast` and `dis`) costs
+    each process about 1 MiB; what the interpreter loads alone does not count."""
+    added = _imported(*args) - _imported("-c", "pass")
+    assert "corelite" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_demo_pipeline(tmp_path):

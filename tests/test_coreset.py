@@ -1,7 +1,6 @@
 import itertools
 import re
 import tempfile
-from dataclasses import astuple
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -409,7 +408,7 @@ class TestSubsetGap:
                 subset_gap(scores, subset)
             return
         got = subset_gap(scores, subset)
-        assert [v.hex() for v in astuple(got)] == [v.hex() for v in astuple(expected)]
+        assert [v.hex() for v in got._values()] == [v.hex() for v in expected._values()]
 
 
 class TestSelectionInvariants:

@@ -205,6 +205,40 @@ class TestRecordRules:
         assert TokenSequence("a", list(range(32))).tokens == tuple(range(32))
 
 
+class TestRecordBase:
+    """`corelite.Record`: what the frozen dataclasses it replaced gave."""
+
+    def test_fields_by_position_or_keyword(self):
+        doc = TextDocument("a", "x")
+        assert doc == TextDocument(text="x", id="a") == TextDocument("a", text="x")
+        assert doc != TextDocument("a", "y") and doc != ("a", "x")
+        assert hash(doc) == hash(TextDocument("a", "x"))
+        assert repr(doc) == "TextDocument(id='a', text='x')"
+        assert doc._values() == ("a", "x")
+
+    def test_default_factory_runs_per_record(self):
+        a, b = ScoreTable({("m", "d"): 1.0}), ScoreTable({("m", "d"): 1.0})
+        assert a.counts == {} and a.counts is not b.counts
+
+    @pytest.mark.parametrize("args,kwargs", [
+        (("a",), {}), (("a", "x", "z"), {}), (("a",), {"id": "b", "text": "x"}),
+        ((), {"id": "a", "text": "x", "title": "t"}),
+    ], ids=["missing", "extra", "twice", "unknown"])
+    def test_wrong_fields_are_type_errors(self, args, kwargs):
+        with pytest.raises(TypeError, match="^TextDocument "):
+            TextDocument(*args, **kwargs)
+
+    def test_immutable(self):
+        doc = TextDocument("a", "x")
+        with pytest.raises(AttributeError, match="immutable"):
+            doc.text = "y"
+        with pytest.raises(AttributeError, match="immutable"):
+            del doc.text
+        with pytest.raises(AttributeError):
+            doc.title = "t"
+        assert doc == TextDocument("a", "x")
+
+
 # Token values at and around each rule's edge, of every type a JSON list holds.
 _EDGE_TOKENS = [0, 1, -1, 2**32 - 1, 2**32, 2**64, -(2**63), True, False, 0.0, 1.5,
                 "1", None]

@@ -13,7 +13,7 @@
 # scan holds only the index entries its benchmark can reach (its own keys
 # and the meaningless ones), not the whole table. So a build peaks at its
 # table plus one batch and a scan at far less: audit-hashed at about
-# 24 MiB on Python 3.11 and audit-exact at about 28 MiB, each under a
+# 22.5 MiB on Python 3.11 and audit-exact at about 27 MiB, each under a
 # bound of 32 MiB. A numpy import (+13.6 MiB) still breaks both bounds.
 #
 # Usage: scripts/bench_smoke.sh   (from anywhere in a checkout)

@@ -10,10 +10,9 @@ class CoreliteError(Exception):
 class Record:
     """Immutable record whose fields are its class's `__slots__`, given in order or
     by keyword; one left out takes its `_defaults` factory's value. `_check` then
-    validates them, and may replace one through `object.__setattr__`.
-
-    It stands in for `dataclasses`, whose import (with `inspect` and `ast`)
-    costs a process about 1 MiB and 10 ms.
+    validates them, and may replace one through `object.__setattr__`. It stands in
+    for `dataclasses`, whose import (with `inspect` and `ast`) costs a process
+    about 1 MiB and 10 ms.
     """
 
     __slots__ = ()
@@ -23,10 +22,9 @@ class Record:
         names = self.__slots__
         if kwargs or len(args) != len(names):  # fields by keyword or left to defaults
             given = dict(zip(names, args), **kwargs)
-            if len(given) != len(args) + len(kwargs) or not given.keys() <= set(names):
+            known = given.keys() <= set(names) <= given.keys() | self._defaults.keys()
+            if not known or len(given) != len(args) + len(kwargs):  # too many, or one twice
                 raise TypeError(f"{type(self).__name__} takes the fields {names}")
-            if not given.keys() | self._defaults.keys() >= set(names):
-                raise TypeError(f"{type(self).__name__} is missing a field of {names}")
             args = [given[n] if n in given else self._defaults[n]() for n in names]
         for name, value in zip(names, args):
             object.__setattr__(self, name, value)
@@ -34,6 +32,16 @@ class Record:
 
     def _check(self) -> None:
         """Validate or convert the fields; the base accepts any values."""
+
+    @classmethod
+    def _unchecked(cls, *values):  # fields in order, already checked: no `_check`
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(record, name, value)
+        return record
+
+    def __reduce__(self):  # copy and pickle: the same fields, not checked again
+        return self._unchecked, self._values()
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")

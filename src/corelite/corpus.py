@@ -222,14 +222,6 @@ class ScoreTable(Record):
                 except CoreliteError as exc:
                     raise CoreliteError(f"{key}: {exc}") from None
 
-    @classmethod
-    def _checked(cls, entries, counts) -> "ScoreTable":
-        """A table whose every score and count the caller has already checked."""
-        table = object.__new__(cls)
-        object.__setattr__(table, "entries", entries)
-        object.__setattr__(table, "counts", counts)
-        return table
-
     def models(self) -> list[str]:
         return sorted({m for m, _ in self.entries})
 
@@ -458,4 +450,4 @@ def load_scores(path) -> ScoreTable:
                 _check_count(count)
         except CoreliteError as exc:
             raise CoreliteError(f"{path}: line {line}: {exc}") from None
-    return ScoreTable._checked(entries, counts)  # row by row above, with the line
+    return ScoreTable._unchecked(entries, counts)  # row by row above, with the line

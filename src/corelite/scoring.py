@@ -61,8 +61,8 @@ class AggregateResult(Record):
 
 
 class CorrelationResult(Record):
+    # method: "pearson" | "spearman"
     __slots__ = ("per_dataset", "method", "sample_count", "undefined_reason")
-    _defaults = {"undefined_reason": dict}  # method: "pearson" | "spearman"
 
 
 def aggregate(

@@ -1,8 +1,10 @@
 import ast
+import copy
 import errno
 import json
 import math
 import os
+import pickle
 import re
 import unicodedata
 from pathlib import Path
@@ -227,6 +229,14 @@ class TestRecordBase:
     def test_wrong_fields_are_type_errors(self, args, kwargs):
         with pytest.raises(TypeError, match="^TextDocument "):
             TextDocument(*args, **kwargs)
+
+    def test_copies_keep_fields_without_checking_again(self):
+        table = ScoreTable({("m", "d"): 1.0}, {("m", "d"): 3})
+        for copied in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert copied == table
+        with mock.patch.object(ScoreTable, "_check") as check:
+            copy.deepcopy(table)
+        check.assert_not_called()
 
     def test_immutable(self):
         doc = TextDocument("a", "x")

@@ -400,16 +400,6 @@ def _key_format(hashed: bool, tokens: int) -> str:
     return "Q" if hashed else f"{4 * tokens}s"
 
 
-def _joined(records):
-    """The byte strings of `records`, joined 1024 at a time.
-
-    `bytes.join` holds a buffer view per item, so joining a whole table's
-    records at once would cost more memory than the records themselves.
-    """
-    while chunk := b"".join(islice(records, 1024)):
-        yield chunk
-
-
 def _fixed_records(keys, hashed: bool, tokens: int, counts=None):
     """The NGI1 records of fixed-width `keys` (with their counts), in file order.
 
@@ -462,7 +452,7 @@ def save_index(index, path) -> None:
         tail = chain([_U64.pack(len(seqs))], records)
     elif hashed:
         tokens = sorted(index.meaningless_tokens)  # by value, unlike the entries
-        tail = chain([_U64.pack(len(tokens))], _joined(map(_U64.pack, tokens)))
+        tail = [struct.pack(f"<{len(tokens) + 1}Q", len(tokens), *tokens)]
     write_atomic(path, chain([header], entries, tail))
 
 
@@ -511,9 +501,6 @@ class _Reader:
         self.off += size
         return self.data[self.off - size : self.off]
 
-    def take(self, fmt: str):
-        return struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
-
     def text_table(self, n: int):
         """A u64 count, then that many length-prefixed exact text keys and counts.
 
@@ -525,7 +512,7 @@ class _Reader:
         `_split_words`, which names the first fault. The buffer is refilled
         only where a field runs past its end.
         """
-        (total,) = self.take("<Q")
+        (total,) = _U64.unpack(self.raw(8))
         data, off, size = self.data, self.off, len(self.data)
         u32, u64 = _U32.unpack_from, _U64.unpack_from
         steps = range(n)
@@ -573,20 +560,24 @@ class _Reader:
     def records(self, fmt: str):
         """A u64 count, then that many fixed-width `fmt` records.
 
-        Yields (keys, counts) per view of up to `_CHECK_ROWS` records; counts
-        are () where `fmt` is a key alone. Hashed records are u64s alone, so
-        their keys and counts are C-level slices of one array of the view.
+        Yields (keys, counts) per batch of up to `_CHECK_ROWS` records, each
+        batch one `raw` read; counts are () where `fmt` is a key alone.
+        Hashed records are u64s alone, so their keys and counts are C-level
+        slices of one array of the batch; exact ones are taken from its
+        unpacked rows.
         """
-        (total,) = self.take("<Q")
+        (total,) = _U64.unpack(self.raw(8))
         record = struct.Struct(f"<{fmt}")
-        for view in self.views(total, record.size):
-            if fmt[0] == "Q":  # a hash, then maybe a count
-                words = array("Q")
-                words.frombytes(view)
-                yield words[:: len(fmt)], words[1::2] if len(fmt) == 2 else ()
+        counted = len(fmt) > 1 and fmt[-1] == "Q"  # a key, then a u64 count
+        for lo in range(0, total, _CHECK_ROWS):
+            batch = self.raw(min(_CHECK_ROWS, total - lo) * record.size)
+            if fmt[0] == "Q":
+                words = array("Q", batch)
+                yield (words[::2], words[1::2]) if counted else (words, ())
             else:
-                keys, *counts = zip(*record.iter_unpack(view))
-                yield keys, counts[0] if counts else ()
+                rows = list(record.iter_unpack(batch))
+                keys = list(map(itemgetter(0), rows))
+                yield keys, list(map(itemgetter(1), rows)) if counted else ()
 
     def checked(self, batches, order, distinct: str):
         """The (keys, counts) `batches` of a file region, checked as they pass.
@@ -617,16 +608,6 @@ class _Reader:
         keys = chain.from_iterable(keys for keys, _ in batches)
         return frozenset(keys if keep is None else filter(keep.__contains__, keys))
 
-    def views(self, count: int, size: int):
-        """Views of `count` records of `size` bytes, up to `_CHECK_ROWS` at a time."""
-        while count:
-            if len(self.data) - self.off < size:
-                self.refill(self.off, size)
-            whole = min(count, _CHECK_ROWS, (len(self.data) - self.off) // size)
-            end = self.off + whole * size
-            yield memoryview(self.data)[self.off : end]
-            self.off, count = end, count - whole
-
 
 def _byte_order(hashes: array) -> list[int]:
     """u64 `hashes` byte-swapped: numbers that order as their file bytes do."""
@@ -645,7 +626,7 @@ class IndexHeader(NamedTuple):
 
 
 def _header(fh, path) -> IndexHeader:
-    """Read an open NGI1 file's header, checking all but its freq_threshold."""
+    """Read an open NGI1 file's header, checking every field."""
     if fh.read(len(NGI_MAGIC)) != NGI_MAGIC:
         raise CoreliteError(f"{path}: bad magic, expected {NGI_MAGIC!r}")
     raw = fh.read(10)
@@ -657,16 +638,11 @@ def _header(fh, path) -> IndexHeader:
     if kind not in _MAX_N or hashed not in (0, 1):
         raise CoreliteError(f"{path}: unknown index kind {kind} or hashed flag {hashed}")
     _check_n(kind, n, f"{path}: ")
+    if kind == _KIND_TEXT:
+        _check_freq(freq, f"{path}: ")
+    elif freq:
+        raise CoreliteError(f"{path}: image index freq_threshold is {freq}, not 0")
     return IndexHeader(kind == _KIND_TEXT, n, freq, bool(hashed))
-
-
-def _check_header_freq(header: IndexHeader, path) -> None:
-    if header.text:
-        _check_freq(header.freq_threshold, f"{path}: ")
-    elif header.freq_threshold:
-        raise CoreliteError(
-            f"{path}: image index freq_threshold is {header.freq_threshold}, not 0"
-        )
 
 
 def load_index(path, keep=None):
@@ -682,14 +658,12 @@ def load_index(path, keep=None):
     meaningless keys, and `exact_sequences` only those in the set. A scan
     that keeps its benchmark's `scan_keys` holds what it can look up and
     reports what a full load would. A filtered load rejects exactly the
-    files a full load does; it checks the header's freq_threshold before
-    calling `keep`, and a full load after the entries, so a file with more
-    than one fault may be named for another.
+    files a full load does, for the same fault: every header field is
+    checked before anything past the header is read.
     """
     with open(path, "rb") as fh:
         header = text, n, freq, hashed = _header(fh, path)
         if keep is not None:
-            _check_header_freq(header, path)
             keep = keep(header)
         r = _Reader(fh if fh.seekable() else io.BytesIO(fh.read()), path)
         order = _byte_order if hashed else None  # hashed keys sort as their bytes
@@ -707,8 +681,6 @@ def load_index(path, keep=None):
             if keep is not None:
                 rows = [(k, c) for k, c in rows if k in keep or c > floor]
             table.update(rows)
-        if keep is None:
-            _check_header_freq(header, path)
         if text:
             # The hashed-text trailer holds the u64 meaningless-token hashes,
             # sorted by value; a scan may look up any of them.

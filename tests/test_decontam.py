@@ -696,6 +696,31 @@ class TestSerialization:
             load_index(path)
         assert str(exc.value) == f"{path}: image index freq_threshold is 3, not 0"
 
+    @pytest.mark.parametrize("filtered", [False, True], ids=["full", "filtered"])
+    @pytest.mark.parametrize("hashed", [False, True], ids=["exact", "hashed"])
+    @pytest.mark.parametrize("kind", ["text", "image"])
+    def test_header_fault_before_body_fault(self, tmp_path, kind, hashed, filtered):
+        # A text index with freq_threshold 0 and its entries cut short, or an
+        # image index with freq_threshold 3 and a repeated key: both loads
+        # name the header's fault, and a filtered load never calls `keep`.
+        path, data, size = self._two_entries(tmp_path, kind, hashed)
+        if kind == "text":
+            data[8:12] = struct.pack("<I", 0)
+            del data[22 + size - 3 :]  # in the first entry's count
+            message = "freq_threshold must be in 1..4294967295"
+        else:
+            data[8:12] = struct.pack("<I", 3)
+            data[22 + size : 22 + 2 * size] = data[22 : 22 + size]
+            message = "image index freq_threshold is 3, not 0"
+        path.write_bytes(data)
+
+        def keep(_):
+            pytest.fail("keep called with a faulty header")
+
+        with pytest.raises(CoreliteError) as exc:
+            load_index(path, keep if filtered else None)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_truncated(self, tmp_path):
         index = self._text_index()
         save_index(index, tmp_path / "idx.bin")
@@ -706,8 +731,11 @@ class TestSerialization:
 
 
 def _forged(tmp_path, n, kind, hashed, body):
+    # A valid freq_threshold for the kind (10 for text, 0 for image), so the
+    # header's other fields and the body hold the faults.
+    freq = 10 if kind == 0 else 0
     path = tmp_path / "forged.bin"
-    path.write_bytes(NGI_MAGIC + struct.pack("<HHIBB", 1, n, 0, kind, hashed) + body)
+    path.write_bytes(NGI_MAGIC + struct.pack("<HHIBB", 1, n, freq, kind, hashed) + body)
     return path
 
 
@@ -781,7 +809,7 @@ def text_table_oracle(self, n):
 
     It yields every entry in one (keys, counts) batch.
     """
-    (count,) = self.take("<Q")
+    (count,) = struct.unpack("<Q", self.raw(8))
     keys, counts = [], []
     raw = self.raw
     for _ in range(count):
@@ -1192,13 +1220,26 @@ def _load_error_and_peak(path, text_table=_Reader.text_table):
 class TestBoundedReads:
     """A corrupt size ends in a truncated file, with no read of that size."""
 
-    @pytest.mark.parametrize("kind,hashed", KINDS, ids=KIND_IDS)
-    def test_entry_count_2_63(self, tmp_path, kind, hashed):
-        # The entries run on into the trailer and then the end of the file.
+    @pytest.mark.parametrize(
+        "kind,hashed,region",
+        [*((kind, hashed, "entries") for kind, hashed in KINDS),
+         ("text", True, "trailer"), ("image", False, "trailer"), ("image", True, "trailer")],
+        ids=[*KIND_IDS, "text-hashed-trailer", "image-exact-trailer", "image-hashed-trailer"],
+    )
+    def test_entry_count_2_63(self, tmp_path, kind, hashed, region):
+        # The entry count, or the trailer's: the entries run on into the
+        # trailer and then the end of the file, or the trailer keys do.
+        index = _golden_index(kind, hashed)
         path = tmp_path / "idx.bin"
-        save_index(_golden_index(kind, hashed), path)
+        save_index(index, path)
         data = bytearray(path.read_bytes())
-        data[14:22] = struct.pack("<Q", 2**63)  # the entry count
+        if region == "entries":
+            at = 14
+        elif kind == "text":
+            at = len(data) - 8 * len(index.meaningless_tokens) - 8
+        else:
+            at = len(data) - (8 if hashed else 4 * 32) * len(index.exact_sequences) - 8
+        data[at : at + 8] = struct.pack("<Q", 2**63)
         path.write_bytes(data)
         message, peak = _load_error_and_peak(path)
         assert message == f"{path}: truncated index file"

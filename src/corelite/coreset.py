@@ -103,8 +103,10 @@ def k_center_greedy(
 
     The first center is `uniform_index(seed, n)`; each later center is the
     point farthest from the current centers, ties broken by lowest index.
-    Distances are float64, computed over `emb.data` itself: the greedy makes
-    no copy of the matrix (`load_embeddings` normalizes rows as it reads).
+    Distances are float64, computed over `emb.data` itself and its row norms
+    `emb.sq_norms`: the greedy makes no copy of the matrix and no pass of its
+    own over it before the first step (`load_embeddings` normalizes rows and
+    takes their norms as it reads).
 
     `workers` is accepted for compatibility and ignored: numpy's BLAS
     already spreads each distance GEMV over the available cores.
@@ -113,8 +115,7 @@ def k_center_greedy(
 
     n = emb.n
     _check_k(n, k)
-    X = emb.data
-    sq_norms = np.einsum("ij,ij->i", X, X)
+    X, sq_norms = emb.data, emb.sq_norms
 
     first = uniform_index(seed, n)
     # min_dist holds each point's distance to its nearest center, and -inf

@@ -25,8 +25,11 @@ IMAGE_TOKEN_LEN = 32
 _MAX_TOKEN_ID = (1 << 32) - 1
 _INT_ONLY = frozenset({int})  # element types of a token list checked in C alone
 _MAX_COUNT = 1 << 53  # the largest count a float64 weight holds exactly
-_FINITE_ROWS = 1024  # rows per finiteness check, so its bool arrays stay small
-_NORM_ROWS = 32  # EMB1 rows read, normalized and widened at a time, so they stay in cache
+_NORM_ROWS = 128  # EMB1 rows read, normalized, widened and checked at a time, in cache
+# The widest row whose einsum norm is the same in any block of rows: numpy sums
+# a wider row in pieces of its 8192-element buffer, placed by the row's offset
+# in the whole operand.
+_EINSUM_ROW = 8192
 
 _ASCII_WORD_RE = re.compile(r"[a-z0-9]+")
 # Over a string of code point classes (see _code_point_class): a word, or a
@@ -143,11 +146,59 @@ class TokenSequence(Record):
                 raise CoreliteError(f"id={self.id}: token id {t} out of range")
 
 
-class EmbeddingMatrix(Record):
+def _square_norms(block, out):
+    """Write each row's squared L2 norm, `np.einsum("ij,ij->i")`, into `out`, and
+    return the offset of the first row holding inf or NaN, or None.
+
+    Such a row's norm is not finite. A finite row's norm is finite too, unless
+    its squares overflow (float64 values beyond float32's range), so only rows
+    whose norm is not finite are looked at again.
+    """
+    import numpy as np
+
+    np.einsum("ij,ij->i", block, block, out=out)
+    for row in np.flatnonzero(~np.isfinite(out)):
+        if not np.isfinite(block[row]).all():
+            return int(row)
+    return None
+
+
+def _check_embedding_ids(ids) -> None:
+    """Non-empty strings without CR or LF (the ids file is line-based), unique.
+
+    The rules are tested on all the ids at once, at C level; only a fault walks
+    the rows, to name the first one at fault.
+    """
+    if "" in ids:
+        raise CoreliteError(f"row {ids.index('')}: empty embedding id")
+    try:
+        joined = "\n".join(ids)
+    except TypeError:  # an id that is not a string
+        joined = "\r"
+    if "\r" in joined or joined.count("\n") != len(ids) - 1:  # an LF within an id
+        for row, inst_id in enumerate(ids):
+            if not isinstance(inst_id, str):
+                raise CoreliteError(f"row {row}: embedding id must be a string")
+            if "\r" in inst_id or "\n" in inst_id:
+                raise CoreliteError(f"row {row}: embedding id holds CR or LF")
+    if len(set(ids)) != len(ids):
+        raise CoreliteError("embedding ids must be unique")
+
+
+class _RowNorms(Record):
+    """Holds an `EmbeddingMatrix`'s row norms in a slot that is not one of its
+    fields: a record's fields are its own class's `__slots__`."""
+
+    __slots__ = ("_sq_norms",)
+
+
+class EmbeddingMatrix(_RowNorms):
     """Dense n x d float64 matrix of per-instance feature vectors with row ids.
 
     float32 data widens exactly; a C-contiguous float64 array is kept, not
-    copied, and both become read-only.
+    copied, and both become read-only. The finiteness check also gives each
+    row's squared L2 norm, `sq_norms`, which the greedy's distances use;
+    `load_embeddings` takes both as it reads each block of rows.
     """
 
     __slots__ = ("ids", "data")  # data: float64, shape (n, d)
@@ -158,26 +209,24 @@ class EmbeddingMatrix(Record):
         arr = np.ascontiguousarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise CoreliteError("embedding data must be 2-D")
+        sq_norms = np.empty(arr.shape[0])
+        self._keep(arr, sq_norms, _square_norms(arr, sq_norms))
+
+    def _keep(self, arr, sq_norms, bad_row) -> None:
+        """The rules after the 2-D one, in order, for the 2-D float64 `arr` with its
+        row norms and first non-finite row (or None); then `arr`, made read-only,
+        is the data."""
         if arr.shape[1] <= 0:
             raise CoreliteError("embedding dimension must be positive")
         if len(self.ids) != arr.shape[0]:
             raise CoreliteError(f"{len(self.ids)} ids for {arr.shape[0]} rows")
-        if "" in self.ids:
-            raise CoreliteError(f"row {self.ids.index('')}: empty embedding id")
-        for row, inst_id in enumerate(self.ids):  # the ids file is line-based
-            if not isinstance(inst_id, str):
-                raise CoreliteError(f"row {row}: embedding id must be a string")
-            if "\r" in inst_id or "\n" in inst_id:
-                raise CoreliteError(f"row {row}: embedding id holds CR or LF")
-        if len(set(self.ids)) != len(self.ids):
-            raise CoreliteError("embedding ids must be unique")
-        for lo in range(0, arr.shape[0], _FINITE_ROWS):
-            finite = np.isfinite(arr[lo:lo + _FINITE_ROWS]).all(axis=1)
-            if not finite.all():
-                raise CoreliteError(f"row {lo + int(finite.argmin())}: non-finite value")
-        arr.flags.writeable = False
+        _check_embedding_ids(self.ids)
+        if bad_row is not None:
+            raise CoreliteError(f"row {bad_row}: non-finite value")
+        arr.flags.writeable = sq_norms.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "_sq_norms", sq_norms)
 
     @property
     def n(self) -> int:
@@ -186,6 +235,20 @@ class EmbeddingMatrix(Record):
     @property
     def d(self) -> int:
         return self.data.shape[1]
+
+    @property
+    def sq_norms(self):
+        """Each row's squared L2 norm, read-only: `np.einsum("ij,ij->i", data, data)`."""
+        try:
+            return self._sq_norms
+        except AttributeError:  # a copy or an unpickled matrix, not checked again
+            import numpy as np
+
+            sq_norms = np.empty(self.n)
+            _square_norms(self.data, sq_norms)
+            sq_norms.flags.writeable = False
+            object.__setattr__(self, "_sq_norms", sq_norms)
+            return sq_norms
 
 
 def _is_finite_number(x) -> bool:
@@ -270,8 +333,8 @@ def write_atomic(path, chunks) -> None:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
-def _open_text(path, newline=None) -> io.StringIO:
-    """`open(path, encoding="utf-8", newline=newline)`; invalid UTF-8 names its line."""
+def _read_text(path) -> str:
+    """A UTF-8 file's text, newlines as they are; invalid UTF-8 names its line."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")  # whole, so the error's offset is the file's
@@ -280,7 +343,12 @@ def _open_text(path, newline=None) -> io.StringIO:
         raise CoreliteError(f"{path}: line {line}: invalid UTF-8") from None
     if text.startswith("\ufeff"):
         raise CoreliteError(f"{path}: starts with a UTF-8 byte-order mark")
-    return io.StringIO(text, newline=newline)
+    return text
+
+
+def _open_text(path, newline=None) -> io.StringIO:
+    """`open(path, encoding="utf-8", newline=newline)`; invalid UTF-8 names its line."""
+    return io.StringIO(_read_text(path), newline=newline)
 
 
 def read_json(path):
@@ -351,14 +419,54 @@ def load_token_corpus(path) -> Iterator[TokenSequence]:
     return _jsonl_records(path, "tokens", TokenSequence)
 
 
+def _in_parallel(run, calls) -> list:
+    """`[run(*args) for args in calls]` (at least one): the first call in this
+    thread, each other in a thread of its own.
+
+    Every thread has ended when this returns or raises. If calls fail, the
+    error raised is that of the first of them in `calls` order.
+    """
+    import threading
+
+    outcomes = [None] * len(calls)
+
+    def call(i):
+        try:
+            outcomes[i] = (None, run(*calls[i]))
+        except BaseException as exc:
+            outcomes[i] = (exc, None)
+
+    threads = []  # the started ones
+    try:
+        for i in range(1, len(calls)):
+            thread = threading.Thread(target=call, args=(i,))
+            thread.start()
+            threads.append(thread)
+        call(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc, _ in outcomes:
+        if exc is not None:
+            raise exc
+    return [result for _, result in outcomes]
+
+
 def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
-    """Read the EMB1 binary matrix, 32 rows at a time, into float64 rows, and its ids file.
+    """Read the EMB1 binary matrix into float64 rows, and its ids file, in one pass.
+
+    The payload is split by rows among the CPUs this process may run on, at
+    most one per block of `_NORM_ROWS` rows. Each worker reads its rows a block
+    at a time into a float32 buffer, widens them into the matrix, and takes
+    their squared norms and finiteness while they are in cache, so the
+    matrix's values are not walked again (rows over `_EINSUM_ROW` values
+    wide have their norms taken again, over the whole matrix).
 
     `normalize` scales rows to unit L2 norm as they are read, with float64
     squares and quotients rounded to float32: the values of a float32
     normalized matrix. Zero rows stay zero; a row with inf or NaN stays
-    non-finite. The format is checked first; `EmbeddingMatrix` checks the
-    content, naming both files.
+    non-finite. The format is checked first; then the rules of
+    `EmbeddingMatrix`, in its order, naming both files.
     """
     import numpy as np
 
@@ -374,24 +482,44 @@ def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
             raise CoreliteError(f"{data_path}: payload is {size} bytes, expected {want}")
         # An id ends at LF, and one CR before that LF goes with it: a lone CR
         # stays in its id, for `EmbeddingMatrix` to reject.
-        ids = [line.removesuffix("\r\n").removesuffix("\n")
-               for line in _open_text(ids_path, newline="\n")]
+        ids = _read_text(ids_path).replace("\r\n", "\n").split("\n")
+        if ids[-1] == "":  # the text ends with LF, or is empty
+            ids.pop()
 
-        X = np.empty((n, d))
-        buf = np.empty((min(_NORM_ROWS, n), d), "<f4")
-        with np.errstate(invalid="ignore"):  # inf / inf: a row with inf stays non-finite
-            for lo in range(0, n if d else 0, _NORM_ROWS):  # d == 0 has nothing to read
-                block, dst = buf[:n - lo], X[lo:lo + _NORM_ROWS]
-                if fh.readinto(block) != block.nbytes:
-                    raise CoreliteError(f"{data_path}: file ended inside the payload")
-                if normalize:
-                    sq = np.square(block, out=dst, dtype=np.float64)
-                    norm = np.sqrt(sq.sum(1, keepdims=True))
-                    norm[norm == 0.0] = 1.0
-                    np.divide(block, norm, out=block)  # rounded to float32
-                dst[...] = block
+        X, sq_norms = np.empty((n, d)), np.empty(n)
+
+        def read_rows(lo, hi):
+            """Rows lo..hi-1 into X and sq_norms; returns the first non-finite one, or None."""
+            buf = np.empty((min(_NORM_ROWS, hi - lo), d), "<f4")
+            bad_row = None
+            with np.errstate(invalid="ignore"):  # inf / inf: a row with inf stays non-finite
+                for start in range(lo, hi, _NORM_ROWS):
+                    block = buf[:hi - start]
+                    rows = slice(start, start + len(block))
+                    dst = X[rows]
+                    if os.preadv(fh.fileno(), [block], 12 + 4 * d * start) != block.nbytes:
+                        raise CoreliteError(f"{data_path}: file ended inside the payload")
+                    if normalize:
+                        sq = np.square(block, out=dst, dtype=np.float64)
+                        norm = np.sqrt(sq.sum(1, keepdims=True))
+                        norm[norm == 0.0] = 1.0
+                        np.divide(block, norm, out=block)  # rounded to float32
+                    dst[...] = block
+                    bad = _square_norms(dst, sq_norms[rows])
+                    if bad_row is None and bad is not None:
+                        bad_row = start + bad
+            return bad_row
+
+        blocks = -(-n // _NORM_ROWS) if d else 0  # d == 0 has nothing to read
+        workers = max(1, min(len(os.sched_getaffinity(0)), blocks))
+        bounds = [min(n, w * blocks // workers * _NORM_ROWS) for w in range(workers + 1)]
+        bad_rows = _in_parallel(read_rows, list(zip(bounds, bounds[1:])))
+        if d > _EINSUM_ROW:
+            np.einsum("ij,ij->i", X, X, out=sq_norms)
     try:
-        return EmbeddingMatrix(tuple(ids), X)
+        matrix = EmbeddingMatrix._unchecked(ids, X)
+        matrix._keep(X, sq_norms, next((r for r in bad_rows if r is not None), None))
+        return matrix
     except CoreliteError as exc:
         raise CoreliteError(f"{data_path}, {ids_path}: {exc}") from None
 

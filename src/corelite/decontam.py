@@ -15,8 +15,8 @@ body for both modes; only the keying helpers and the NGI1 layout differ.
 Hashed keys are computed about 2048 at a time by `fnv1a64_many`, one 128-bit
 lane per key in a single Python int (SWAR: each byte step is a few C-level
 big-int operations over every key at once). numpy would vectorize the same
-loop, but its import costs a CLI process about 0.06 s (0.16 s when OpenBLAS is slow
-to start threads) and 13.6 MiB of RSS, more than it would save on a typical audit.
+loop, but its import costs a CLI process 0.06-0.10 s and 13.6 MiB of RSS, more
+than it would save on a typical audit.
 """
 
 from __future__ import annotations

@@ -6,10 +6,13 @@ byte-at-a-time FNV-1a that the hashed n-gram keys are checked against, the
 overlap ratio of one window, that the text scan is checked against, an
 NGI1 writer that builds the whole file in memory, that the streamed
 `save_index` is checked against, and the per-token check of an image-token
-sequence, that `TokenSequence`'s C-level check is checked against.
+sequence, that `TokenSequence`'s C-level check is checked against, and the
+serial EMB1 load, 32 rows at a time in one thread, that the parallel
+`load_embeddings` is checked against.
 """
 
 import itertools
+import os
 import struct
 import unicodedata
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from corelite import CoreliteError
 from corelite.coreset import CoresetSelection, SubsetGap, _check_k
-from corelite.corpus import IMAGE_TOKEN_LEN, EmbeddingMatrix, _check_id
+from corelite.corpus import IMAGE_TOKEN_LEN, EmbeddingMatrix, _check_id, _open_text
 from corelite.decontam import TextNGramIndex
 
 
@@ -194,3 +197,43 @@ def check_token_sequence(seq_id, tokens) -> None:
     for t in tokens:
         if not (0 <= t <= 0xFFFFFFFF):
             raise CoreliteError(f"id={seq_id}: token id {t} out of range")
+
+
+def serial_load(data_path, ids_path, normalize=False):
+    """(ids, X) of a well-formed EMB1 file and its ids file, with no checks.
+
+    One thread reads the payload 32 rows at a time, normalizes each block
+    (float64 squares and norms, quotients rounded to float32) and widens it
+    into X. Ids end at LF, with one CR before it; each line is taken in turn.
+    """
+    ids = [line.removesuffix("\r\n").removesuffix("\n")
+           for line in _open_text(ids_path, newline="\n")]
+    with open(data_path, "rb") as fh:
+        n, d = struct.unpack("<4xII", fh.read(12))
+        assert os.fstat(fh.fileno()).st_size == 12 + 4 * n * d
+        X = np.empty((n, d))
+        buf = np.empty((min(32, n), d), "<f4")
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, n if d else 0, 32):
+                block, dst = buf[:n - lo], X[lo:lo + 32]
+                assert fh.readinto(block) == block.nbytes
+                if normalize:
+                    sq = np.square(block, out=dst, dtype=np.float64)
+                    norm = np.sqrt(sq.sum(1, keepdims=True))
+                    norm[norm == 0.0] = 1.0
+                    np.divide(block, norm, out=block)
+                dst[...] = block
+    return ids, X
+
+
+def check_embedding_ids(ids) -> None:
+    """`EmbeddingMatrix`'s id rules one row at a time; the first fault, in rule order, raises."""
+    if "" in ids:
+        raise CoreliteError(f"row {ids.index('')}: empty embedding id")
+    for row, inst_id in enumerate(ids):
+        if not isinstance(inst_id, str):
+            raise CoreliteError(f"row {row}: embedding id must be a string")
+        if "\r" in inst_id or "\n" in inst_id:
+            raise CoreliteError(f"row {row}: embedding id holds CR or LF")
+    if len(set(ids)) != len(ids):
+        raise CoreliteError("embedding ids must be unique")

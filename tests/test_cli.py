@@ -1,10 +1,12 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -14,7 +16,7 @@ import pytest
 
 from corelite import cli
 from corelite.cli import main
-from corelite.corpus import EmbeddingMatrix, TokenSequence, save_embeddings
+from corelite.corpus import _NORM_ROWS, EmbeddingMatrix, TokenSequence, save_embeddings
 from corelite.decontam import ImageNGramIndex, build_image_index, save_index
 
 
@@ -937,6 +939,33 @@ class TestErrorLines:
             ["e.bin", "e.ids"],
         )
         assert message.format(data=data_path, ids=ids_path) in err
+
+    @pytest.mark.parametrize("failing", ["first", "second"])
+    def test_read_error_in_a_worker(self, tmp_path, capsys, monkeypatch, failing):
+        # Two workers read 3 blocks: the first (in this thread) block 0, the
+        # second (a thread of its own) blocks 1 and 2. One of them cannot read.
+        n = 3 * _NORM_ROWS
+        data_path, ids_path = tmp_path / "e.bin", tmp_path / "e.ids"
+        ids = tuple(f"p{i}" for i in range(n))
+        save_embeddings(EmbeddingMatrix(ids, np.ones((n, 2))), data_path, ids_path)
+        preadv = os.preadv
+
+        def preadv_failing(fd, buffers, offset):
+            if (offset == 12) == (failing == "first"):
+                raise OSError(errno.EIO, "Input/output error")
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", preadv_failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        threads = threading.enumerate()
+        err = self._fails_cleanly(
+            tmp_path, capsys,
+            ["select", "--embeddings", str(data_path), "--ids", str(ids_path), "--k", "1",
+             "--out", str(tmp_path / "sel.json")],
+            ["e.bin", "e.ids"],
+        )
+        assert err == "corelite: error: [Errno 5] Input/output error\n"
+        assert threading.enumerate() == threads
 
     @pytest.mark.parametrize(
         "content,message",

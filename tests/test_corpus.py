@@ -1,11 +1,13 @@
 import ast
 import copy
 import errno
+import io
 import json
 import math
 import os
 import pickle
 import re
+import struct
 import unicodedata
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 import corelite
 from corelite import CoreliteError
 from corelite.corpus import (
-    _FINITE_ROWS,
+    _EINSUM_ROW,
+    _NORM_ROWS,
     EmbeddingMatrix,
     ScoreTable,
     TextDocument,
@@ -33,7 +36,12 @@ from corelite.corpus import (
     write_atomic,
 )
 from corelite.decontam import build_image_index, build_text_index, save_index
-from oracles import check_token_sequence, unicode_tokenize_text
+from oracles import (
+    check_embedding_ids,
+    check_token_sequence,
+    serial_load,
+    unicode_tokenize_text,
+)
 
 
 class TestTokenize:
@@ -371,19 +379,38 @@ class TestEmbeddings:
 
     @pytest.mark.parametrize(
         "rows,value",
-        [([0], np.nan), ([_FINITE_ROWS - 1], np.inf), ([_FINITE_ROWS], -np.inf),
-         ([2 * _FINITE_ROWS - 1], np.nan), ([2 * _FINITE_ROWS + 4], np.inf),
-         ([2 * _FINITE_ROWS + 1, _FINITE_ROWS + 3], np.nan)],
+        [([0], np.nan), ([_NORM_ROWS - 1], np.inf), ([_NORM_ROWS], -np.inf),
+         ([2 * _NORM_ROWS - 1], np.nan), ([2 * _NORM_ROWS + 4], np.inf),
+         ([2 * _NORM_ROWS + 1, _NORM_ROWS + 3], np.nan)],
         ids=["first", "chunk-end", "chunk-start", "second-chunk-end", "partial-chunk",
              "first-of-two"],
     )
-    def test_non_finite_reports_first_row(self, rows, value):
-        # The check runs in chunks of _FINITE_ROWS rows; 2 full chunks and 5 rows.
-        n = 2 * _FINITE_ROWS + 5
-        data = np.ones((n, 3))
+    def test_non_finite_reports_first_row(self, tmp_path, rows, value):
+        # load_embeddings reads blocks of _NORM_ROWS rows; 2 full blocks and 5 rows.
+        n = 2 * _NORM_ROWS + 5
+        data = np.ones((n, 3), dtype=np.float32)
         data[rows, 1] = value
-        with pytest.raises(CoreliteError, match=f"^row {min(rows)}: non-finite value$"):
-            EmbeddingMatrix(tuple(f"r{i}" for i in range(n)), data)
+        ids = tuple(f"r{i}" for i in range(n))
+        message = f"^row {min(rows)}: non-finite value$"
+        with pytest.raises(CoreliteError, match=message):
+            EmbeddingMatrix(ids, data)
+        save_embeddings(EmbeddingMatrix(ids, np.ones((n, 3))), tmp_path / "e.bin",
+                        tmp_path / "e.ids")
+        with open(tmp_path / "e.bin", "r+b") as fh:
+            fh.seek(12)
+            fh.write(data.tobytes())
+        with pytest.raises(CoreliteError, match=message.replace("^", ": ")):
+            load_embeddings(tmp_path / "e.bin", tmp_path / "e.ids")
+
+    def test_huge_finite_rows_pass(self):
+        # Their squares overflow float64, so only a look at the row itself
+        # tells them from a row holding inf.
+        data = np.array([[1e200, -1e300], [0.0, 1.0], [np.finfo(float).max, 0.0]])
+        m = EmbeddingMatrix(("a", "b", "c"), data.copy())
+        assert m.sq_norms.tolist() == [np.inf, 1.0, np.inf]
+        data[1, 0] = np.nan
+        with pytest.raises(CoreliteError, match="^row 1: non-finite value$"):
+            EmbeddingMatrix(("a", "b", "c"), data)
 
     def test_float64_data_is_kept_without_a_copy(self):
         data = np.arange(6, dtype=np.float64).reshape(3, 2)
@@ -459,6 +486,144 @@ class TestEmbeddings:
         save_embeddings(loaded, tmp / "again.bin", tmp / "again.ids")
         assert (tmp / "again.bin").read_bytes() == (tmp / "e.bin").read_bytes()
         assert (tmp / "again.ids").read_bytes() == (tmp / "e.ids").read_bytes()
+
+
+def _cpus(count):
+    """`os.sched_getaffinity` patched to `count` CPUs: `load_embeddings` splits its
+    rows among that many workers, at most one a block."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _emb1(path, data):
+    """Write the float32 `data` as an EMB1 file, with no checks; ids p0, p1, ...."""
+    n, d = data.shape
+    path.write_bytes(b"EMB1" + struct.pack("<II", n, d) + data.astype("<f4").tobytes())
+    ids = path.with_suffix(".ids")
+    ids.write_text("".join(f"p{i}\n" for i in range(n)))
+    return path, ids
+
+
+class TestParallelLoad:
+    """`load_embeddings` splits the rows among workers; nothing may show the split."""
+
+    B = _NORM_ROWS
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, _NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1, 2 * _NORM_ROWS + 1]),
+        d=st.sampled_from([1, 3, _EINSUM_ROW, _EINSUM_ROW + 1]),
+        normalize=st.booleans(),
+        cpus=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_serial_load(self, tmp_path_factory, n, d, normalize, cpus, seed, data):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-20, 20, (n, 1))
+        block = (rng.standard_normal((n, d)) * scale).astype(np.float32)
+        # Zero rows, some on either side of the first block boundary: with two
+        # workers and 2 * B + 1 rows, the split between them.
+        boundary = [r for r in (self.B - 1, self.B) if r < n] or [0]
+        zero = data.draw(st.sets(st.sampled_from(boundary) | st.integers(0, n - 1)))
+        block[sorted(zero)] = 0.0
+        path, ids_path = _emb1(tmp_path_factory.mktemp("emb") / "e.bin", block)
+        with _cpus(cpus):
+            emb = load_embeddings(path, ids_path, normalize)
+        ids, X = serial_load(path, ids_path, normalize)
+        assert emb.ids == tuple(ids)
+        assert emb.data.tobytes() == X.tobytes()
+        assert emb.sq_norms.tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
+
+    @pytest.mark.parametrize("d", [_EINSUM_ROW, _EINSUM_ROW + 1, 2 * _EINSUM_ROW])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_wide_rows_norms_match_whole_matrix(self, tmp_path, d, cpus):
+        # Over _EINSUM_ROW values, a row's einsum norm depends on where the
+        # row sits in the operand, so block norms can differ in the last bits.
+        n = 2 * self.B + 1
+        block = np.random.default_rng(d).standard_normal((n, d)).astype(np.float32)
+        path, ids_path = _emb1(tmp_path / "e.bin", block)
+        with _cpus(cpus):
+            emb = load_embeddings(path, ids_path)
+        X = block.astype(np.float64)
+        assert emb.sq_norms.tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
+
+    def test_direct_matrix_norms_match_einsum(self):
+        data = np.random.default_rng(0).standard_normal((2 * self.B + 1, 7))
+        m = EmbeddingMatrix(tuple(f"p{i}" for i in range(len(data))), data)
+        assert m.sq_norms.tobytes() == np.einsum("ij,ij->i", data, data).tobytes()
+        assert not m.sq_norms.flags.writeable
+        for copied in (pickle.loads(pickle.dumps(m)), copy.copy(m)):
+            assert copied.sq_norms.tobytes() == m.sq_norms.tobytes()
+            assert copied._asdict().keys() == {"ids", "data"}
+
+    @pytest.mark.parametrize("bad", [[3, 2 * _NORM_ROWS + 2], [_NORM_ROWS, 2 * _NORM_ROWS],
+                                     [_NORM_ROWS + 1]])
+    def test_lowest_non_finite_row_in_any_worker(self, tmp_path, bad):
+        # 3 blocks for 2 workers: the first reads block 0, the second blocks 1 and 2.
+        block = np.ones((2 * self.B + 5, 2), dtype=np.float32)
+        block[bad, 1] = np.nan
+        path, ids_path = _emb1(tmp_path / "e.bin", block)
+        with _cpus(2), pytest.raises(CoreliteError,
+                                     match=f": row {min(bad)}: non-finite value$"):
+            load_embeddings(path, ids_path)
+
+    def test_id_fault_before_non_finite_row(self, tmp_path):
+        block = np.ones((2 * self.B + 5, 2), dtype=np.float32)
+        block[[1, 2 * self.B]] = np.inf
+        path, ids_path = _emb1(tmp_path / "e.bin", block)
+        ids_path.write_text(ids_path.read_text().replace("p7\n", "p6\n"))
+        with _cpus(2), pytest.raises(CoreliteError, match=": embedding ids must be unique$"):
+            load_embeddings(path, ids_path)
+        ids_path.write_text(ids_path.read_text().replace("p9\n", "p\r9\n"))
+        with _cpus(2), pytest.raises(CoreliteError,
+                                     match=": row 9: embedding id holds CR or LF$"):
+            load_embeddings(path, ids_path)
+
+    @pytest.mark.parametrize("rows_in_file", [0, _NORM_ROWS, 2 * _NORM_ROWS + 1])
+    def test_file_ending_inside_either_worker(self, tmp_path, monkeypatch, rows_in_file):
+        # The header says 3 blocks; the file holds fewer rows but claims all.
+        n = 3 * self.B
+        path, ids_path = _emb1(tmp_path / "e.bin", np.ones((rows_in_file, 1), np.float32))
+        path.write_bytes(b"EMB1" + struct.pack("<II", n, 1) + path.read_bytes()[12:])
+        ids_path.write_text("".join(f"p{i}\n" for i in range(n)))
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=12 + 4 * n))
+        with _cpus(2), pytest.raises(CoreliteError, match="e.bin: file ended inside the payload$"):
+            load_embeddings(path, ids_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.text("ab\r\n", max_size=3), st.integers(0, 2)), max_size=6))
+    def test_id_rules_match_row_by_row_oracle(self, ids):
+        try:
+            check_embedding_ids(ids)
+        except CoreliteError as exc:
+            expected = str(exc)
+        else:
+            expected = None
+        data = np.zeros((len(ids), 1))
+        try:
+            EmbeddingMatrix(tuple(ids), data)
+        except CoreliteError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("ab\r\n", max_size=12))
+    def test_ids_file_split_like_lines(self, tmp_path_factory, text):
+        # The loader splits the ids file at C level; the oracle takes each line.
+        tmp = tmp_path_factory.mktemp("ids")
+        ids_path = tmp / "t.ids"
+        ids_path.write_bytes(text.encode())
+        expected, _ = serial_load(_emb1(tmp / "empty.bin", np.zeros((0, 1)))[0], ids_path)
+        path, _ = _emb1(tmp / "e.bin", np.zeros((len(expected), 1)))
+        try:
+            emb = load_embeddings(path, ids_path)
+        except CoreliteError as exc:
+            with pytest.raises(CoreliteError) as oracle:
+                EmbeddingMatrix(tuple(expected), np.zeros((len(expected), 1)))
+            assert str(exc).endswith(f": {oracle.value}")
+        else:
+            assert list(emb.ids) == expected
 
 
 class TestScores:

@@ -175,7 +175,9 @@ def _check_embedding_ids(ids) -> None:
         joined = "\n".join(ids)
     except TypeError:  # an id that is not a string
         joined = "\r"
-    if "\r" in joined or joined.count("\n") != len(ids) - 1:  # an LF within an id
+    line_based = "\r" not in joined and joined.count("\n") == len(ids) - 1  # no LF in an id
+    del joined  # before the set of ids, which takes memory too
+    if not line_based:
         for row, inst_id in enumerate(ids):
             if not isinstance(inst_id, str):
                 raise CoreliteError(f"row {row}: embedding id must be a string")

@@ -8,6 +8,7 @@ import os
 import pickle
 import re
 import struct
+import sys
 import unicodedata
 from pathlib import Path
 from types import SimpleNamespace
@@ -381,26 +382,22 @@ class TestEmbeddings:
         "rows,value",
         [([0], np.nan), ([_NORM_ROWS - 1], np.inf), ([_NORM_ROWS], -np.inf),
          ([2 * _NORM_ROWS - 1], np.nan), ([2 * _NORM_ROWS + 4], np.inf),
-         ([2 * _NORM_ROWS + 1, _NORM_ROWS + 3], np.nan)],
+         ([2 * _NORM_ROWS + 1, _NORM_ROWS + 3], np.nan),
+         ([3, 2 * _NORM_ROWS + 2], np.nan)],
         ids=["first", "chunk-end", "chunk-start", "second-chunk-end", "partial-chunk",
-             "first-of-two"],
+             "first-of-two", "both-workers"],
     )
     def test_non_finite_reports_first_row(self, tmp_path, rows, value):
-        # load_embeddings reads blocks of _NORM_ROWS rows; 2 full blocks and 5 rows.
+        # 2 full blocks of _NORM_ROWS rows and 5 rows: loaded by 2 workers, the
+        # first reads block 0, the second blocks 1 and 2.
         n = 2 * _NORM_ROWS + 5
         data = np.ones((n, 3), dtype=np.float32)
         data[rows, 1] = value
-        ids = tuple(f"r{i}" for i in range(n))
-        message = f"^row {min(rows)}: non-finite value$"
-        with pytest.raises(CoreliteError, match=message):
-            EmbeddingMatrix(ids, data)
-        save_embeddings(EmbeddingMatrix(ids, np.ones((n, 3))), tmp_path / "e.bin",
-                        tmp_path / "e.ids")
-        with open(tmp_path / "e.bin", "r+b") as fh:
-            fh.seek(12)
-            fh.write(data.tobytes())
-        with pytest.raises(CoreliteError, match=message.replace("^", ": ")):
-            load_embeddings(tmp_path / "e.bin", tmp_path / "e.ids")
+        message = f"row {min(rows)}: non-finite value$"
+        with pytest.raises(CoreliteError, match=f"^{message}"):
+            EmbeddingMatrix(tuple(f"r{i}" for i in range(n)), data)
+        with _cpus(2), pytest.raises(CoreliteError, match=f": {message}"):
+            load_embeddings(*_emb1(tmp_path / "e.bin", data))
 
     def test_huge_finite_rows_pass(self):
         # Their squares overflow float64, so only a look at the row itself
@@ -547,6 +544,24 @@ class TestParallelLoad:
         X = block.astype(np.float64)
         assert emb.sq_norms.tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
 
+    def test_more_workers_than_cpus_with_short_switch_interval(self, tmp_path):
+        # Workers write disjoint row ranges of one matrix; switching threads
+        # often must not lose or mix a block.
+        n = 8 * self.B + 3
+        block = np.random.default_rng(8).standard_normal((n, 5)).astype(np.float32)
+        block[[self.B - 1, 4 * self.B]] = 0.0
+        path, ids_path = _emb1(tmp_path / "e.bin", block)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _cpus(8):
+                emb = load_embeddings(path, ids_path, normalize=True)
+        finally:
+            sys.setswitchinterval(interval)
+        _, X = serial_load(path, ids_path, normalize=True)
+        assert emb.data.tobytes() == X.tobytes()
+        assert emb.sq_norms.tobytes() == np.einsum("ij,ij->i", X, X).tobytes()
+
     def test_direct_matrix_norms_match_einsum(self):
         data = np.random.default_rng(0).standard_normal((2 * self.B + 1, 7))
         m = EmbeddingMatrix(tuple(f"p{i}" for i in range(len(data))), data)
@@ -555,17 +570,6 @@ class TestParallelLoad:
         for copied in (pickle.loads(pickle.dumps(m)), copy.copy(m)):
             assert copied.sq_norms.tobytes() == m.sq_norms.tobytes()
             assert copied._asdict().keys() == {"ids", "data"}
-
-    @pytest.mark.parametrize("bad", [[3, 2 * _NORM_ROWS + 2], [_NORM_ROWS, 2 * _NORM_ROWS],
-                                     [_NORM_ROWS + 1]])
-    def test_lowest_non_finite_row_in_any_worker(self, tmp_path, bad):
-        # 3 blocks for 2 workers: the first reads block 0, the second blocks 1 and 2.
-        block = np.ones((2 * self.B + 5, 2), dtype=np.float32)
-        block[bad, 1] = np.nan
-        path, ids_path = _emb1(tmp_path / "e.bin", block)
-        with _cpus(2), pytest.raises(CoreliteError,
-                                     match=f": row {min(bad)}: non-finite value$"):
-            load_embeddings(path, ids_path)
 
     def test_id_fault_before_non_finite_row(self, tmp_path):
         block = np.ones((2 * self.B + 5, 2), dtype=np.float32)
@@ -593,19 +597,8 @@ class TestParallelLoad:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.text("ab\r\n", max_size=3), st.integers(0, 2)), max_size=6))
     def test_id_rules_match_row_by_row_oracle(self, ids):
-        try:
-            check_embedding_ids(ids)
-        except CoreliteError as exc:
-            expected = str(exc)
-        else:
-            expected = None
-        data = np.zeros((len(ids), 1))
-        try:
-            EmbeddingMatrix(tuple(ids), data)
-        except CoreliteError as exc:
-            assert str(exc) == expected
-        else:
-            assert expected is None
+        assert (_error(EmbeddingMatrix, tuple(ids), np.zeros((len(ids), 1)))
+                == _error(check_embedding_ids, ids))
 
     @settings(max_examples=200, deadline=None)
     @given(st.text("ab\r\n", max_size=12))
@@ -615,15 +608,23 @@ class TestParallelLoad:
         ids_path = tmp / "t.ids"
         ids_path.write_bytes(text.encode())
         expected, _ = serial_load(_emb1(tmp / "empty.bin", np.zeros((0, 1)))[0], ids_path)
-        path, _ = _emb1(tmp / "e.bin", np.zeros((len(expected), 1)))
-        try:
-            emb = load_embeddings(path, ids_path)
-        except CoreliteError as exc:
-            with pytest.raises(CoreliteError) as oracle:
-                EmbeddingMatrix(tuple(expected), np.zeros((len(expected), 1)))
-            assert str(exc).endswith(f": {oracle.value}")
+        data = np.zeros((len(expected), 1))
+        path, _ = _emb1(tmp / "e.bin", data)
+        error = _error(EmbeddingMatrix, tuple(expected), data)
+        if error is None:
+            assert list(load_embeddings(path, ids_path).ids) == expected
         else:
-            assert list(emb.ids) == expected
+            with pytest.raises(CoreliteError, match=f": {re.escape(error)}$"):
+                load_embeddings(path, ids_path)
+
+
+def _error(f, *args):
+    """The message of the CoreliteError `f(*args)` raises, or None."""
+    try:
+        f(*args)
+    except CoreliteError as exc:
+        return str(exc)
+    return None
 
 
 class TestScores:

@@ -348,15 +348,10 @@ def _read_text(path) -> str:
     return text
 
 
-def _open_text(path, newline=None) -> io.StringIO:
-    """`open(path, encoding="utf-8", newline=newline)`; invalid UTF-8 names its line."""
-    return io.StringIO(_read_text(path), newline=newline)
-
-
 def read_json(path):
     """Parse a UTF-8 JSON file; a fault in its content names the file."""
     try:
-        return json.load(_open_text(path))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CoreliteError(f"{path}: invalid JSON ({exc})") from None
     except RecursionError:
@@ -537,7 +532,7 @@ def save_embeddings(matrix: EmbeddingMatrix, data_path, ids_path) -> None:
 
 def _csv_rows(path):
     """(line, row) per CSV row, `line` its last physical line; a bad row names it."""
-    reader = csv.reader(_open_text(path, newline=""))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         for row in reader:
             yield reader.line_num, row

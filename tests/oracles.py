@@ -11,6 +11,7 @@ serial EMB1 load, 32 rows at a time in one thread, that the parallel
 `load_embeddings` is checked against.
 """
 
+import io
 import itertools
 import os
 import struct
@@ -20,7 +21,7 @@ import numpy as np
 
 from corelite import CoreliteError
 from corelite.coreset import CoresetSelection, SubsetGap, _check_k
-from corelite.corpus import IMAGE_TOKEN_LEN, EmbeddingMatrix, _check_id, _open_text
+from corelite.corpus import IMAGE_TOKEN_LEN, EmbeddingMatrix, _check_id, _read_text
 from corelite.decontam import TextNGramIndex
 
 
@@ -207,7 +208,7 @@ def serial_load(data_path, ids_path, normalize=False):
     into X. Ids end at LF, with one CR before it; each line is taken in turn.
     """
     ids = [line.removesuffix("\r\n").removesuffix("\n")
-           for line in _open_text(ids_path, newline="\n")]
+           for line in io.StringIO(_read_text(ids_path), newline="\n")]
     with open(data_path, "rb") as fh:
         n, d = struct.unpack("<4xII", fh.read(12))
         assert os.fstat(fh.fileno()).st_size == 12 + 4 * n * d

@@ -594,6 +594,24 @@ class TestParallelLoad:
         with _cpus(2), pytest.raises(CoreliteError, match="e.bin: file ended inside the payload$"):
             load_embeddings(path, ids_path)
 
+    @pytest.mark.parametrize("eio_in_first", [True, False])
+    def test_first_worker_error_wins(self, tmp_path, monkeypatch, eio_in_first):
+        # Block 0 fails one way and block 1, the second worker's, the other:
+        # the error raised is block 0's, as a serial read would give.
+        path, ids_path = _emb1(tmp_path / "e.bin", np.ones((2 * self.B, 1), np.float32))
+        preadv = os.preadv
+
+        def preadv_failing(fd, buffers, offset):
+            if (offset == 12) == eio_in_first:
+                raise OSError(errno.EIO, "Input/output error")
+            return preadv(fd, buffers, offset) - 4  # the file seems to end
+
+        monkeypatch.setattr(os, "preadv", preadv_failing)
+        expected = ((OSError, "Input/output error") if eio_in_first
+                    else (CoreliteError, "file ended inside the payload$"))
+        with _cpus(2), pytest.raises(expected[0], match=expected[1]):
+            load_embeddings(path, ids_path)
+
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.text("ab\r\n", max_size=3), st.integers(0, 2)), max_size=6))
     def test_id_rules_match_row_by_row_oracle(self, ids):

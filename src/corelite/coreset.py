@@ -10,13 +10,9 @@ from __future__ import annotations
 import math
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING
 
 from . import CoreliteError, Record
 from .corpus import EmbeddingMatrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Default lite-set sizes per dataset. Datasets at full size are kept whole.
 LITE_K_DEFAULTS: dict[str, int] = {
@@ -82,17 +78,6 @@ def _check_k(n: int, k: int) -> None:
         raise CoreliteError(f"k must be in 1..{n}, got {k}")
 
 
-def _min_center_dists(
-    X: np.ndarray, sq_norms: np.ndarray, center: np.ndarray
-) -> np.ndarray:
-    """Distances from every row of X to one center."""
-    import numpy as np
-
-    d2 = sq_norms - 2.0 * (X @ center) + float(center @ center)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
-
-
 def k_center_greedy(
     emb: EmbeddingMatrix,
     k: int,
@@ -104,9 +89,9 @@ def k_center_greedy(
     The first center is `uniform_index(seed, n)`; each later center is the
     point farthest from the current centers, ties broken by lowest index.
     Distances are float64, computed over `emb.data` itself and its row norms
-    `emb.sq_norms`: the greedy makes no copy of the matrix and no pass of its
-    own over it before the first step (`load_embeddings` normalizes rows and
-    takes their norms as it reads).
+    `emb.sq_norms`, which every matrix holds from the moment it is built or
+    loaded: the greedy makes no copy of the matrix and no pass of its own over
+    it before the first step.
 
     `workers` is accepted for compatibility and ignored: numpy's BLAS
     already spreads each distance GEMV over the available cores.
@@ -117,19 +102,21 @@ def k_center_greedy(
     _check_k(n, k)
     X, sq_norms = emb.data, emb.sq_norms
 
-    first = uniform_index(seed, n)
-    # min_dist holds each point's distance to its nearest center, and -inf
-    # at the centers themselves (np.minimum keeps it), so argmax never picks
-    # a center twice.
-    centers = [first]
-    min_dist = _min_center_dists(X, sq_norms, X[first])
-    min_dist[first] = -np.inf
-    for _ in range(k - 1):
+    # min_dist holds each point's distance to its nearest center, +inf before
+    # the first, and -inf at the centers themselves (np.minimum keeps it), so
+    # argmax never picks a center twice.
+    centers = []
+    min_dist = np.full(n, np.inf)
+    u = uniform_index(seed, n)
+    for _ in range(k):
+        centers.append(u)
+        center = X[u]
+        d2 = sq_norms - 2.0 * (X @ center) + float(center @ center)
+        np.maximum(d2, 0.0, out=d2)
+        np.minimum(min_dist, np.sqrt(d2), out=min_dist)
+        min_dist[u] = -np.inf
         # np.argmax takes the first (lowest index) maximum: the tie rule.
         u = int(np.argmax(min_dist))
-        centers.append(u)
-        np.minimum(min_dist, _min_center_dists(X, sq_norms, X[u]), out=min_dist)
-        min_dist[u] = -np.inf
 
     return CoresetSelection(
         center_indices=tuple(centers),

@@ -25,7 +25,7 @@ IMAGE_TOKEN_LEN = 32
 _MAX_TOKEN_ID = (1 << 32) - 1
 _INT_ONLY = frozenset({int})  # element types of a token list checked in C alone
 _MAX_COUNT = 1 << 53  # the largest count a float64 weight holds exactly
-_NORM_ROWS = 128  # EMB1 rows read, normalized, widened and checked at a time, in cache
+_NORM_ROWS = 128  # EMB1 rows read, normalized, widened and square-normed at a time, in cache
 # The widest row whose einsum norm is the same in any block of rows: numpy sums
 # a wider row in pieces of its 8192-element buffer, placed by the row's offset
 # in the whole operand.
@@ -146,23 +146,6 @@ class TokenSequence(Record):
                 raise CoreliteError(f"id={self.id}: token id {t} out of range")
 
 
-def _square_norms(block, out):
-    """Write each row's squared L2 norm, `np.einsum("ij,ij->i")`, into `out`, and
-    return the offset of the first row holding inf or NaN, or None.
-
-    Such a row's norm is not finite. A finite row's norm is finite too, unless
-    its squares overflow (float64 values beyond float32's range), so only rows
-    whose norm is not finite are looked at again.
-    """
-    import numpy as np
-
-    np.einsum("ij,ij->i", block, block, out=out)
-    for row in np.flatnonzero(~np.isfinite(out)):
-        if not np.isfinite(block[row]).all():
-            return int(row)
-    return None
-
-
 def _check_embedding_ids(ids) -> None:
     """Non-empty strings without CR or LF (the ids file is line-based), unique.
 
@@ -191,16 +174,19 @@ class _RowNorms(Record):
     """Holds an `EmbeddingMatrix`'s row norms in a slot that is not one of its
     fields: a record's fields are its own class's `__slots__`."""
 
-    __slots__ = ("_sq_norms",)
+    __slots__ = ("sq_norms",)
 
 
 class EmbeddingMatrix(_RowNorms):
     """Dense n x d float64 matrix of per-instance feature vectors with row ids.
 
     float32 data widens exactly; a C-contiguous float64 array is kept, not
-    copied, and both become read-only. The finiteness check also gives each
-    row's squared L2 norm, `sq_norms`, which the greedy's distances use;
-    `load_embeddings` takes both as it reads each block of rows.
+    copied, and both become read-only. Each row's squared L2 norm,
+    `np.einsum("ij,ij->i", data, data)`, is kept read-only in the slot
+    `sq_norms`, which is not a field; the greedy's distances use it, and the
+    finiteness rule reads it. `load_embeddings` takes the norms as it reads
+    each block of rows. A copy or an unpickled matrix is built and checked
+    again.
     """
 
     __slots__ = ("ids", "data")  # data: float64, shape (n, d)
@@ -211,24 +197,33 @@ class EmbeddingMatrix(_RowNorms):
         arr = np.ascontiguousarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise CoreliteError("embedding data must be 2-D")
-        sq_norms = np.empty(arr.shape[0])
-        self._keep(arr, sq_norms, _square_norms(arr, sq_norms))
+        self._keep(arr, np.einsum("ij,ij->i", arr, arr))
 
-    def _keep(self, arr, sq_norms, bad_row) -> None:
-        """The rules after the 2-D one, in order, for the 2-D float64 `arr` with its
-        row norms and first non-finite row (or None); then `arr`, made read-only,
-        is the data."""
+    def _keep(self, arr, sq_norms) -> None:
+        """The rules after the 2-D one, in order, for the 2-D float64 `arr` and its
+        squared row norms; then both, made read-only, are kept.
+
+        A row holding inf or NaN has a norm that is not finite. A finite row's
+        norm is finite too, unless its squares overflow (float64 values beyond
+        float32's range), so only rows whose norm is not finite are looked at.
+        """
+        import numpy as np
+
         if arr.shape[1] <= 0:
             raise CoreliteError("embedding dimension must be positive")
         if len(self.ids) != arr.shape[0]:
             raise CoreliteError(f"{len(self.ids)} ids for {arr.shape[0]} rows")
         _check_embedding_ids(self.ids)
-        if bad_row is not None:
-            raise CoreliteError(f"row {bad_row}: non-finite value")
+        for row in np.flatnonzero(~np.isfinite(sq_norms)):
+            if not np.isfinite(arr[row]).all():
+                raise CoreliteError(f"row {row}: non-finite value")
         arr.flags.writeable = sq_norms.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "_sq_norms", sq_norms)
+        object.__setattr__(self, "sq_norms", sq_norms)
+
+    def __reduce__(self):  # copy and pickle: built and checked again, which sets the norms
+        return type(self), self._values()
 
     @property
     def n(self) -> int:
@@ -237,20 +232,6 @@ class EmbeddingMatrix(_RowNorms):
     @property
     def d(self) -> int:
         return self.data.shape[1]
-
-    @property
-    def sq_norms(self):
-        """Each row's squared L2 norm, read-only: `np.einsum("ij,ij->i", data, data)`."""
-        try:
-            return self._sq_norms
-        except AttributeError:  # a copy or an unpickled matrix, not checked again
-            import numpy as np
-
-            sq_norms = np.empty(self.n)
-            _square_norms(self.data, sq_norms)
-            sq_norms.flags.writeable = False
-            object.__setattr__(self, "_sq_norms", sq_norms)
-            return sq_norms
 
 
 def _is_finite_number(x) -> bool:
@@ -416,22 +397,22 @@ def load_token_corpus(path) -> Iterator[TokenSequence]:
     return _jsonl_records(path, "tokens", TokenSequence)
 
 
-def _in_parallel(run, calls) -> list:
-    """`[run(*args) for args in calls]` (at least one): the first call in this
-    thread, each other in a thread of its own.
+def _in_parallel(run, calls) -> None:
+    """`run(*args)` for each `args` in `calls` (at least one): the first call in
+    this thread, each other in a thread of its own.
 
     Every thread has ended when this returns or raises. If calls fail, the
     error raised is that of the first of them in `calls` order.
     """
     import threading
 
-    outcomes = [None] * len(calls)
+    errors = [None] * len(calls)
 
     def call(i):
         try:
-            outcomes[i] = (None, run(*calls[i]))
+            run(*calls[i])
         except BaseException as exc:
-            outcomes[i] = (exc, None)
+            errors[i] = exc
 
     threads = []  # the started ones
     try:
@@ -443,10 +424,9 @@ def _in_parallel(run, calls) -> list:
     finally:
         for thread in threads:
             thread.join()
-    for exc, _ in outcomes:
+    for exc in errors:
         if exc is not None:
             raise exc
-    return [result for _, result in outcomes]
 
 
 def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
@@ -455,9 +435,11 @@ def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
     The payload is split by rows among the CPUs this process may run on, at
     most one per block of `_NORM_ROWS` rows. Each worker reads its rows a block
     at a time into a float32 buffer, widens them into the matrix, and takes
-    their squared norms and finiteness while they are in cache, so the
-    matrix's values are not walked again (rows over `_EINSUM_ROW` values
-    wide have their norms taken again, over the whole matrix).
+    their squared norms while they are in cache, so the matrix's values are
+    not walked again (rows over `_EINSUM_ROW` values wide have their norms
+    taken again, over the whole matrix). Finiteness is found after the load,
+    from the norms, as for any `EmbeddingMatrix`: for float32 values the
+    squared norm of a row is finite unless the row holds inf or NaN.
 
     `normalize` scales rows to unit L2 norm as they are read, with float64
     squares and quotients rounded to float32: the values of a float32
@@ -486,9 +468,8 @@ def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
         X, sq_norms = np.empty((n, d)), np.empty(n)
 
         def read_rows(lo, hi):
-            """Rows lo..hi-1 into X and sq_norms; returns the first non-finite one, or None."""
+            """Rows lo..hi-1 into X, and their squared norms into sq_norms."""
             buf = np.empty((min(_NORM_ROWS, hi - lo), d), "<f4")
-            bad_row = None
             with np.errstate(invalid="ignore"):  # inf / inf: a row with inf stays non-finite
                 for start in range(lo, hi, _NORM_ROWS):
                     block = buf[:hi - start]
@@ -502,20 +483,17 @@ def load_embeddings(data_path, ids_path, normalize=False) -> EmbeddingMatrix:
                         norm[norm == 0.0] = 1.0
                         np.divide(block, norm, out=block)  # rounded to float32
                     dst[...] = block
-                    bad = _square_norms(dst, sq_norms[rows])
-                    if bad_row is None and bad is not None:
-                        bad_row = start + bad
-            return bad_row
+                    np.einsum("ij,ij->i", dst, dst, out=sq_norms[rows])
 
         blocks = -(-n // _NORM_ROWS) if d else 0  # d == 0 has nothing to read
         workers = max(1, min(len(os.sched_getaffinity(0)), blocks))
         bounds = [min(n, w * blocks // workers * _NORM_ROWS) for w in range(workers + 1)]
-        bad_rows = _in_parallel(read_rows, list(zip(bounds, bounds[1:])))
+        _in_parallel(read_rows, list(zip(bounds, bounds[1:])))
         if d > _EINSUM_ROW:
             np.einsum("ij,ij->i", X, X, out=sq_norms)
     try:
         matrix = EmbeddingMatrix._unchecked(ids, X)
-        matrix._keep(X, sq_norms, next((r for r in bad_rows if r is not None), None))
+        matrix._keep(X, sq_norms)
         return matrix
     except CoreliteError as exc:
         raise CoreliteError(f"{data_path}, {ids_path}: {exc}") from None

@@ -571,6 +571,15 @@ class TestParallelLoad:
             assert copied.sq_norms.tobytes() == m.sq_norms.tobytes()
             assert copied._asdict().keys() == {"ids", "data"}
 
+    def test_copies_are_checked_again(self):
+        # A copy or an unpickled matrix is built through EmbeddingMatrix(ids, data).
+        data = np.ones((3, 2))
+        data[1, 0] = np.nan
+        m = EmbeddingMatrix._unchecked(("a", "b", "c"), data)
+        for clone in (lambda m: pickle.loads(pickle.dumps(m)), copy.copy):
+            with pytest.raises(CoreliteError, match="^row 1: non-finite value$"):
+                clone(m)
+
     def test_id_fault_before_non_finite_row(self, tmp_path):
         block = np.ones((2 * self.B + 5, 2), dtype=np.float32)
         block[[1, 2 * self.B]] = np.inf

@@ -1136,6 +1136,24 @@ class TestSmallReads:
             load_index(path)
         assert str(exc.value) == f"{path}: trailing bytes in index file"
 
+    @pytest.mark.parametrize("kind,hashed", KINDS, ids=KIND_IDS)
+    def test_file_shrinking_after_open_is_truncated(self, tmp_path, kind, hashed):
+        # The reader takes the file's size when it is made; the file then loses
+        # the second half of its body, so a read comes back short.
+        path = tmp_path / "idx.bin"
+        save_index(_golden_index(kind, hashed), path)
+        size = path.stat().st_size
+        init = _Reader.__init__
+
+        def init_then_shrink(reader, fh, name):
+            init(reader, fh, name)
+            os.truncate(path, (fh.tell() + size) // 2)
+
+        with mock.patch.object(_Reader, "__init__", init_then_shrink):
+            with pytest.raises(CoreliteError) as exc:
+                load_index(path)
+        assert str(exc.value) == f"{path}: truncated index file"
+
 
 class TestFilteredLoad:
     """`load_index(path, keep)` is the full load restricted to what `keep` returns."""
